@@ -31,8 +31,8 @@ use ctsim_bench::BENCH_SEED;
 use ctsim_models::{build_model, decided_place_ids, latency_replications, SanParams};
 use ctsim_san::Marking;
 use ctsim_solve::{
-    AnalyticRun, DedupMode, GeneratorBackend, IterOptions, LinOp, ReachOptions, SolveOptions,
-    SolverBackend, SpillOptions, StateSpace, TransientOptions,
+    transient, AnalyticRun, DedupMode, GeneratorBackend, IterOptions, LinOp, ReachOptions,
+    SolveOptions, SolverBackend, SpillOptions, StateSpace, TransientOptions,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -62,12 +62,25 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // One transient CDF point on the prebuilt CTMC (the marginal cost
-    // of each additional curve point).
+    // One cold transient CDF point on the prebuilt CTMC: uniformization
+    // from t = 0 plus the goal-mass sum. `AnalyticRun::cdf` would reuse
+    // its cached sequence after the first iteration and time only a dot
+    // product, so this row drives the uncached `transient` directly.
     let run = AnalyticRun::first_passage(&model, &ReachOptions::default(), &goal).unwrap();
     let exact = run.mean(&IterOptions::default()).unwrap().mean_ms;
+    let absorbing = &run.space().absorbing;
     g.bench_function("analytic_n2_transient_cdf_point", |b| {
-        b.iter(|| black_box(run.cdf(exact, &TransientOptions::default()).unwrap()))
+        b.iter(|| {
+            let sol = transient(run.ctmc(), exact, &TransientOptions::default()).unwrap();
+            let p: f64 = sol
+                .probs
+                .iter()
+                .zip(absorbing)
+                .filter(|&(_, &g)| g)
+                .map(|(&x, _)| x)
+                .sum();
+            black_box(p)
+        })
     });
 
     // Calibrate the replication count for a 1% relative 90% CI from a

@@ -32,7 +32,7 @@
 //! `SegStore::update_rows`, which rewrites to a fresh offset.
 
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::spill::{SpillRecord, SpillShared};
 
@@ -307,7 +307,9 @@ impl<T: SpillRecord> SegStore<T> {
 
     /// Loads a spilled segment through the LRU.
     fn load(&self, seg: usize, offset: u64, seg_len: usize) -> Arc<[T]> {
-        let mut cache = self.cache.lock().expect("segment cache poisoned");
+        // The LRU only ever holds complete segments, so a lock poisoned
+        // by an unrelated panic still guards a valid cache.
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(pos) = cache.iter().position(|(s, _)| *s == seg) {
             let entry = cache.remove(pos);
             let arc = entry.1.clone();
@@ -330,8 +332,10 @@ impl<T: SpillRecord> SegStore<T> {
         // gone — there is no correct value to return, so raise the
         // typed error as a panic payload; the `catch_spill` boundary
         // at every public entry point turns it back into
-        // `Err(SolveError::SpillFailed { .. })`.
+        // `Err(SolveError::SpillFailed { .. })`. The lock is released
+        // first, so the unwind leaves the LRU usable for a later retry.
         if let Err(e) = spill.read_back(self.read_site, offset, &mut bytes) {
+            drop(cache);
             std::panic::panic_any(e);
         }
         let data: Vec<T> = bytes.chunks_exact(T::BYTES).map(T::load).collect();
@@ -403,7 +407,7 @@ impl<T: SpillRecord> SegStore<T> {
     {
         self.cache
             .get_mut()
-            .expect("segment cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clear();
         let mut i = 0;
         while i < locs.len() {

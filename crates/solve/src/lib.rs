@@ -386,6 +386,12 @@ pub enum SolveError {
         /// The configured depth bound.
         depth: usize,
     },
+    /// A transient solve or CDF point was asked for a negative or
+    /// non-finite time.
+    InvalidTime {
+        /// The rejected time (ms).
+        t_ms: f64,
+    },
     /// The Poisson truncation needs more terms than allowed.
     TruncationTooLong {
         /// The configured term cap.
@@ -461,6 +467,9 @@ impl fmt::Display for SolveError {
                 "instantaneous activities fired more than {depth} times at \
                  one instant (vanishing loop)"
             ),
+            SolveError::InvalidTime { t_ms } => {
+                write!(f, "time {t_ms} ms is not a finite, non-negative time")
+            }
             SolveError::TruncationTooLong { terms } => write!(
                 f,
                 "uniformization needs more than {terms} Poisson terms; \

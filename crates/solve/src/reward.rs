@@ -10,6 +10,8 @@
 //! workflow ("time until a predicate holds") into a `RunOutcome`-style
 //! result comparable against [`ctsim_san::replicate`] statistics.
 
+use std::sync::{Mutex, PoisonError};
+
 use ctsim_san::{ActivityId, Marking, SanModel};
 
 use crate::backend::GeneratorBackend;
@@ -17,7 +19,7 @@ use crate::ctmc::Ctmc;
 use crate::graph::{ReachOptions, StateSpace};
 use crate::linop::{Generator, LinOp};
 use crate::steady::{mean_time_to_absorption, IterOptions};
-use crate::transient::{transient, TransientOptions};
+use crate::transient::{AbsorbedMass, TransientOptions};
 use crate::{SolveError, SolveOptions};
 
 /// Expected value of a rate reward (a function of the marking) under a
@@ -86,10 +88,22 @@ pub fn expected_impulse_rate(
 /// the predicate holds, record the time": the absorbed probability mass
 /// at `t` is the latency CDF, and the mean absorption time is the mean
 /// latency the paper tabulates.
+///
+/// CDF points share one uniformization sequence: the run caches the
+/// absorbed mass of every Poisson term computed so far (see
+/// [`AnalyticRun::cdf`]).
 pub struct AnalyticRun<'m> {
     space: StateSpace<'m>,
     gen: Generator,
+    absorbed: Mutex<AbsorbedMass>,
 }
+
+// The sequence cache sits behind a `Mutex` so a run stays shareable
+// across threads, as it was before the cache existed.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<AnalyticRun<'static>>();
+};
 
 impl std::fmt::Debug for AnalyticRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -145,7 +159,11 @@ impl<'m> AnalyticRun<'m> {
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
         let (space, gen) = StateSpace::explore_absorbing_gen(model, opts, backend, goal)?;
-        Ok(Self { space, gen })
+        Ok(Self {
+            space,
+            gen,
+            absorbed: Mutex::default(),
+        })
     }
 
     /// [`AnalyticRun::first_passage`] with the top-level
@@ -194,12 +212,25 @@ impl<'m> AnalyticRun<'m> {
 
     /// `P(T ≤ t)`: probability the predicate holds by time `t` (ms) —
     /// one point of the latency CDF the paper plots.
+    ///
+    /// Points read from one lazily extended uniformization sequence per
+    /// run, so a grid of points costs about as many products as its
+    /// largest point alone. The value is a pure function of the run,
+    /// `t_ms` and `opts`: it is bit-identical whatever the call order,
+    /// and across `threads`. It can differ from summing
+    /// [`transient()`](crate::transient())'s goal states by rounding
+    /// only (the two sum the same terms in a different order).
+    ///
+    /// # Errors
+    /// [`SolveError::InvalidTime`] for a negative or non-finite `t_ms`,
+    /// [`SolveError::TruncationTooLong`] past `opts.max_terms`, and
+    /// [`SolveError::SpillFailed`] if a paged generator cannot be read
+    /// back; the terms cached before the failure stay valid.
     pub fn cdf(&self, t_ms: f64, opts: &TransientOptions) -> Result<f64, SolveError> {
-        let sol = transient(&self.gen, t_ms, opts)?;
-        Ok((0..self.space.len())
-            .filter(|&s| self.space.absorbing[s])
-            .map(|s| sol.probs[s])
-            .sum())
+        // A panic inside an extension cannot leave a torn prefix (see
+        // `AbsorbedMass`), so a poisoned lock is safe to reuse.
+        let mut absorbed = self.absorbed.lock().unwrap_or_else(PoisonError::into_inner);
+        crate::catch_spill(|| absorbed.cdf(&self.gen, &self.space.absorbing, t_ms, opts))
     }
 
     /// The expected first-passage time, solved exactly from
@@ -235,6 +266,7 @@ impl<'m> AnalyticRun<'m> {
 mod tests {
     use super::*;
     use crate::steady::steady_state;
+    use crate::transient::transient;
     use ctsim_san::{Activity, Case, SanBuilder, SanModel};
     use ctsim_stoch::Dist;
 
@@ -345,5 +377,93 @@ mod tests {
         let not_done = probability(run.space(), &sol.probs, move |m| m.get(goal) == 0);
         let done = run.cdf(2.0, &TransientOptions::default()).unwrap();
         assert!((not_done + done - 1.0).abs() < 1e-12);
+    }
+
+    /// `cdf` on the two-stage chain, summed from the cached sequence,
+    /// agrees with summing the goal states of the full [`transient`]
+    /// vector, and its value does not depend on what was cached before.
+    #[test]
+    fn cdf_matches_transient_goal_mass_in_any_order() {
+        let model = chain(&[1.0, 3.0]);
+        let goal = model.place("p2").unwrap();
+        let fresh = || {
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap()
+        };
+        let opts = TransientOptions::default();
+        let grid = [0.0, 0.5, 2.0, 6.0, 40.0];
+        let warm = fresh();
+        for &t in grid.iter().rev() {
+            let f = warm.cdf(t, &opts).unwrap();
+            let sol = transient(warm.ctmc(), t, &opts).unwrap();
+            let direct: f64 = (0..warm.space().len())
+                .filter(|&s| warm.space().absorbing[s])
+                .map(|s| sol.probs[s])
+                .sum();
+            assert!((f - direct).abs() < 1e-12, "t={t}: {f} vs {direct}");
+            assert_eq!(
+                f.to_bits(),
+                fresh().cdf(t, &opts).unwrap().to_bits(),
+                "t={t}"
+            );
+        }
+    }
+
+    /// Bad times and a too-small term cap are typed errors at the
+    /// `cdf` level, and neither disturbs later points.
+    #[test]
+    fn cdf_rejects_bad_times_and_enforces_the_term_cap() {
+        let model = chain(&[1.0, 3.0]);
+        let goal = model.place("p2").unwrap();
+        let run =
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap();
+        let opts = TransientOptions::default();
+        let before = run.cdf(2.0, &opts).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let err = run.cdf(t, &opts).unwrap_err();
+            assert!(
+                matches!(err, SolveError::InvalidTime { .. }),
+                "t={t}: {err:?}"
+            );
+        }
+        let capped = TransientOptions {
+            max_terms: 5,
+            ..TransientOptions::default()
+        };
+        let err = run.cdf(50.0, &capped).unwrap_err();
+        assert!(
+            matches!(err, SolveError::TruncationTooLong { terms: 5 }),
+            "{err:?}"
+        );
+        assert_eq!(run.cdf(2.0, &opts).unwrap().to_bits(), before.to_bits());
+    }
+
+    /// A panic while the sequence lock is held poisons it; the next
+    /// `cdf` recovers the lock and still returns the fresh-run value.
+    #[test]
+    fn poisoned_sequence_lock_is_recovered() {
+        let model = chain(&[2.0]);
+        let goal = model.place("p1").unwrap();
+        let fresh = || {
+            AnalyticRun::first_passage(&model, &ReachOptions::default(), move |m| m.get(goal) > 0)
+                .unwrap()
+        };
+        let opts = TransientOptions::default();
+        let run = fresh();
+        run.cdf(1.0, &opts).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = run.absorbed.lock().unwrap();
+                panic!("poison the sequence lock");
+            })
+            .join()
+            .unwrap_err();
+        });
+        assert!(run.absorbed.is_poisoned());
+        assert_eq!(
+            run.cdf(3.0, &opts).unwrap().to_bits(),
+            fresh().cdf(3.0, &opts).unwrap().to_bits()
+        );
     }
 }

@@ -7,6 +7,19 @@
 //! exponentials under- or overflow even for large `Λt`, and the series
 //! is truncated once the missing mass is below the requested tolerance.
 //!
+//! Two consumers share one copy of the `v ← v P` recurrence
+//! (`uniformization_step`):
+//!
+//! * [`transient()`] returns the whole vector `π(t)`, running the
+//!   recurrence from `t = 0` on every call.
+//! * `AbsorbedMass` backs `AnalyticRun::cdf`. It keeps the scalar
+//!   sequence `a_k = Σ_{s ∈ goal} (π(0) P^k)_s` and the current `v_K`,
+//!   so a CDF point costs only the terms no earlier point needed, and
+//!   the point itself is the dot product `Σ_k w_k a_k`. The sequence
+//!   depends only on the generator, so every point on one run shares
+//!   it, and each value is a pure function of `(run, t, opts)`:
+//!   call order, a cold or warm cache, and `threads` never change a bit.
+//!
 //! Out-of-core caveat: the `π(0) P^k` recurrence is a row-vector
 //! product (`x · Q`), which on a CSR generator runs over the cached
 //! *incoming* (transposed) view — and that view is always materialized
@@ -63,6 +76,7 @@ pub struct Transient {
 /// distribution, over any [`LinOp`] generator representation.
 ///
 /// # Errors
+/// [`SolveError::InvalidTime`] if `t_ms` is negative or not finite;
 /// [`SolveError::TruncationTooLong`] if `Λt` needs more than
 /// `max_terms` Poisson terms at the requested tolerance.
 pub fn transient<L: LinOp>(
@@ -81,10 +95,7 @@ fn transient_inner<L: LinOp>(
     t_ms: f64,
     opts: &TransientOptions,
 ) -> Result<Transient, SolveError> {
-    assert!(
-        t_ms >= 0.0 && t_ms.is_finite(),
-        "time must be finite and >= 0"
-    );
+    check_time(t_ms)?;
     let n = op.dim();
     let lambda = op.max_exit_rate();
     let lt = lambda * t_ms;
@@ -107,11 +118,7 @@ fn transient_inner<L: LinOp>(
     let mut qv = vec![0.0; n];
     let mut out = vec![0.0; n];
     let last = weights.len() - 1;
-    let mut batch_t0 = if ctsim_obs::enabled() {
-        ctsim_obs::now_us()
-    } else {
-        0
-    };
+    let mut batches = BatchSpans::start(weights.len());
     for (k, &w) in weights.iter().enumerate() {
         if w > 0.0 {
             for (o, &x) in out.iter_mut().zip(&v) {
@@ -119,24 +126,9 @@ fn transient_inner<L: LinOp>(
             }
         }
         if k < last {
-            // v ← v P = v + (v Q)/Λ, the sharded gather product.
-            op.apply_transposed(&v, &mut qv, opts.threads);
-            for (x, &q) in v.iter_mut().zip(&qv) {
-                *x += q / lambda;
-            }
+            uniformization_step(op, &mut v, &mut qv, lambda, opts.threads);
         }
-        if ctsim_obs::enabled() && ((k + 1) % TRACE_BATCH == 0 || k == last) {
-            ctsim_obs::record_span(
-                "solver",
-                "uniformization_batch",
-                batch_t0,
-                vec![
-                    ("through_term", (k + 1).into()),
-                    ("terms", (last + 1).into()),
-                ],
-            );
-            batch_t0 = ctsim_obs::now_us();
-        }
+        batches.term_done(k);
     }
     Ok(Transient {
         probs: out,
@@ -144,6 +136,156 @@ fn transient_inner<L: LinOp>(
         lambda,
         terms: weights.len(),
     })
+}
+
+/// Rejects times the Poisson mixture is not defined for.
+fn check_time(t_ms: f64) -> Result<(), SolveError> {
+    if t_ms >= 0.0 && t_ms.is_finite() {
+        Ok(())
+    } else {
+        Err(SolveError::InvalidTime { t_ms })
+    }
+}
+
+/// One uniformization step `v ← v P = v + (v Q)/Λ` through the sharded
+/// gather product, with `qv` as scratch. If the product unwinds (a
+/// failed spill read-back), `v` is untouched: only `qv` was written.
+fn uniformization_step<L: LinOp>(
+    op: &L,
+    v: &mut [f64],
+    qv: &mut [f64],
+    lambda: f64,
+    threads: usize,
+) {
+    op.apply_transposed(v, qv, threads);
+    for (x, &q) in v.iter_mut().zip(qv.iter()) {
+        *x += q / lambda;
+    }
+}
+
+/// Emits one `solver/uniformization_batch` span per [`TRACE_BATCH`]
+/// terms (and one for the final partial batch) when telemetry is on.
+struct BatchSpans {
+    total: usize,
+    t0: u64,
+}
+
+impl BatchSpans {
+    /// Starts timing the terms `..total` of one pass.
+    fn start(total: usize) -> Self {
+        let t0 = if ctsim_obs::enabled() {
+            ctsim_obs::now_us()
+        } else {
+            0
+        };
+        Self { total, t0 }
+    }
+
+    /// Records that term `k` is done.
+    fn term_done(&mut self, k: usize) {
+        if ctsim_obs::enabled() && ((k + 1) % TRACE_BATCH == 0 || k + 1 == self.total) {
+            ctsim_obs::record_span(
+                "solver",
+                "uniformization_batch",
+                self.t0,
+                vec![
+                    ("through_term", (k + 1).into()),
+                    ("terms", self.total.into()),
+                ],
+            );
+            self.t0 = ctsim_obs::now_us();
+        }
+    }
+}
+
+/// The absorbed-mass sequence `a_k = Σ_{s ∈ goal} (π(0) P^k)_s` of one
+/// chain, extended on demand. It holds `v_K = π(0) P^K`, one scratch
+/// vector and `a_0..=a_K`: two `n`-vectors once the first point is
+/// evaluated, plus one `f64` per term.
+///
+/// The sequence depends only on the generator, not on `epsilon`,
+/// `max_terms` or `threads`, so one instance serves every CDF point of
+/// a run. Each extension step commits `v_{K+1}` and `a_{K+1}` together
+/// after the product has returned, so a product that unwinds (a failed
+/// spill read-back) leaves a valid, shorter prefix behind.
+#[derive(Debug, Default)]
+pub(crate) struct AbsorbedMass {
+    v: Vec<f64>,
+    qv: Vec<f64>,
+    mass: Vec<f64>,
+}
+
+impl AbsorbedMass {
+    /// `P(absorbed in goal by t)`: the Fox–Glynn weights of `Λt` applied
+    /// to the cached sequence, `Σ_k w_k a_k` summed in `k` order. Extends
+    /// the sequence first if `t` needs more terms than are cached.
+    ///
+    /// `goal[s]` marks the absorbing goal states; it must stay the same
+    /// across calls on one instance, as must `op`.
+    ///
+    /// # Errors
+    /// [`SolveError::InvalidTime`] and [`SolveError::TruncationTooLong`]
+    /// as for [`transient()`]; a spill read-back failure unwinds out of
+    /// the product (callers run this under `catch_spill`).
+    pub(crate) fn cdf<L: LinOp>(
+        &mut self,
+        op: &L,
+        goal: &[bool],
+        t_ms: f64,
+        opts: &TransientOptions,
+    ) -> Result<f64, SolveError> {
+        check_time(t_ms)?;
+        let lambda = op.max_exit_rate();
+        let lt = lambda * t_ms;
+        let weights = poisson_weights(lt, opts)?;
+        let terms = weights.len();
+        let cached = self.mass.len();
+        let _span = ctsim_obs::span("solver", "cdf")
+            .arg("t_ms", t_ms)
+            .arg("lambda_t", lt)
+            .arg("terms", terms)
+            .arg("reused_terms", terms.min(cached))
+            .arg("new_terms", terms.saturating_sub(cached))
+            .arg("states", op.dim());
+        self.extend(op, goal, terms, lambda, opts.threads);
+        Ok(weights.iter().zip(&self.mass).map(|(w, a)| w * a).sum())
+    }
+
+    /// Grows the sequence to at least `terms` entries.
+    fn extend<L: LinOp>(
+        &mut self,
+        op: &L,
+        goal: &[bool],
+        terms: usize,
+        lambda: f64,
+        threads: usize,
+    ) {
+        if self.mass.is_empty() {
+            self.v = op.initial().to_vec();
+            self.qv = vec![0.0; self.v.len()];
+            self.mass.push(goal_mass(&self.v, goal));
+        }
+        let have = self.mass.len();
+        if have >= terms {
+            return;
+        }
+        let mut batches = BatchSpans::start(terms);
+        for k in have..terms {
+            uniformization_step(op, &mut self.v, &mut self.qv, lambda, threads);
+            self.mass.push(goal_mass(&self.v, goal));
+            batches.term_done(k);
+        }
+    }
+}
+
+/// `Σ_{s ∈ goal} v_s`, summed in state order.
+fn goal_mass(v: &[f64], goal: &[bool]) -> f64 {
+    debug_assert_eq!(v.len(), goal.len());
+    v.iter()
+        .zip(goal)
+        .filter(|&(_, &g)| g)
+        .map(|(&x, _)| x)
+        .sum()
 }
 
 /// Normalized Poisson(lt) weights for `k = 0..=R`, with entries below
@@ -287,6 +429,21 @@ mod tests {
         };
         let err = poisson_weights(1e6, &opts).unwrap_err();
         assert!(matches!(err, SolveError::TruncationTooLong { .. }));
+    }
+
+    /// Negative and non-finite times are typed errors, not panics.
+    #[test]
+    fn invalid_times_are_rejected() {
+        let m = two_state(1.0, 1.0);
+        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let q = Ctmc::from_state_space(&ss).unwrap();
+        for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let err = transient(&q, t, &TransientOptions::default()).unwrap_err();
+            assert!(
+                matches!(err, SolveError::InvalidTime { t_ms } if t_ms.to_bits() == t.to_bits()),
+                "t={t}: {err:?}"
+            );
+        }
     }
 
     /// An absorbing chain funnels all mass into the absorbing state.
