@@ -15,9 +15,8 @@
 //! its rows are timed directly (best of a fixed repeat count, so even
 //! the smoke run yields a stable number) and carry the state count in
 //! the name, making each row a throughput measurement. The
-//! `kron_matvec` group races the forward `Q v` product of the
-//! matrix-free Kronecker descriptor against the materialized CSR
-//! matrix on the n = 3 space, recording peak live-heap for both. The
+//! `csr_matvec` group times the forward `Q v` product of the CSR
+//! generator on the n = 3 space, recording peak live-heap. The
 //! `campaign` group times the scenario-campaign engine's cached+warm
 //! grid path against the same grid solved cold, plus its deterministic
 //! cache hit-rate. Every measurement is appended to
@@ -31,8 +30,8 @@ use ctsim_bench::BENCH_SEED;
 use ctsim_models::{build_model, decided_place_ids, latency_replications, SanParams};
 use ctsim_san::Marking;
 use ctsim_solve::{
-    transient, AnalyticRun, DedupMode, GeneratorBackend, IterOptions, LinOp, ReachOptions,
-    SolveOptions, SolverBackend, SpillOptions, StateSpace, TransientOptions,
+    transient, AnalyticRun, DedupMode, IterOptions, ReachOptions, SolveOptions, SolverBackend,
+    SpillOptions, StateSpace, TransientOptions,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -100,7 +99,7 @@ fn bench(c: &mut Criterion) {
     let mut extra = concurrent_intern();
     extra.extend(out_of_core());
     extra.extend(solver_backends());
-    extra.extend(kron_matvec());
+    extra.extend(csr_matvec());
     extra.extend(campaign_grid());
     write_results_json(c, &extra);
 }
@@ -346,22 +345,17 @@ fn out_of_core() -> Vec<BenchResult> {
     rows
 }
 
-/// Generator-representation SpMV throughput: the forward `Q v` product
-/// — the hot loop of every absorption solve — on the n = 3 exponential
-/// first-passage space (≈ 1.35 × 10⁵ states), once on the materialized
-/// CSR matrix and once on the matrix-free Kronecker-factored
-/// descriptor. Self-timed best-of-N like the intern sweep, state count
-/// in the row name so each row is a states-per-nanosecond throughput
-/// metric. The single-thread rows carry `peak_bytes` — the live-heap
-/// peak of the *whole* explore-and-build-then-multiply pass — so
-/// `bench_check` gates both the kron matvec speed and the descriptor's
-/// memory headline (it must stay below the CSR run's peak: the forward
-/// product never builds the kron transpose, and the descriptor packs
-/// 8 B per entry against CSR's 16 B). Each row also carries a nested
+/// Generator SpMV throughput: the forward `Q v` product — the hot
+/// loop of every absorption solve — on the n = 3 exponential
+/// first-passage space (≈ 1.35 × 10⁵ states). Self-timed best-of-N
+/// like the intern sweep, state count in the row name so each row is a
+/// states-per-nanosecond throughput metric. The single-thread row
+/// carries `peak_bytes` — the live-heap peak of the *whole*
+/// explore-and-build-then-multiply pass. Each row also carries a nested
 /// `op` object in the results JSON (generator/product/threads), which
 /// doubles as the regression fixture for `bench_check`'s
 /// unknown-key-tolerant parser.
-fn kron_matvec() -> Vec<BenchResult> {
+fn csr_matvec() -> Vec<BenchResult> {
     let params = SanParams::exponential_n3();
     let model = build_model(&params);
     let decided = decided_place_ids(&model, params.n);
@@ -372,69 +366,47 @@ fn kron_matvec() -> Vec<BenchResult> {
         ..ReachOptions::default()
     };
     let mut rows = Vec::new();
-    let mut reference: Option<Vec<f64>> = None;
-    for backend in GeneratorBackend::ALL {
-        alloc_counter::reset_peak();
-        let (ss, gen) = StateSpace::explore_absorbing_gen(&model, &opts, backend, |m| {
-            decided.iter().any(|&d| m.get(d) > 0)
-        })
-        .unwrap();
-        let states = ss.len();
-        drop(ss);
-        let n = LinOp::dim(&gen);
-        // A fixed, structured input so the product (and thus the
-        // cross-representation agreement assert) is deterministic.
-        let v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
-        let mut y = vec![0.0; n];
-        let repeats = 20u32;
-        for t in [1usize, 8] {
-            let mut best = f64::INFINITY;
-            for _ in 0..repeats {
-                let start = Instant::now();
-                gen.apply(&v, &mut y, t);
-                black_box(&y[0]);
-                best = best.min(start.elapsed().as_nanos() as f64);
-            }
-            // Peak rides on the threads-1 row only: it covers the
-            // explore + generator build + first products high-water
-            // mark, which the thread count does not change.
-            let peak = (t == 1).then(|| alloc_counter::peak_bytes() as u64);
-            let name = format!(
-                "kron_matvec/apply_{}_exp_n3_threads{t}_states{states}",
-                backend.name()
-            );
-            match peak {
-                Some(p) => println!(
-                    "timed {name:<68} {best:>14.0} ns/iter, peak {:.1} MB (best of {repeats})",
-                    p as f64 / (1 << 20) as f64
-                ),
-                None => println!("timed {name:<68} {best:>14.0} ns/iter (best of {repeats})"),
-            }
-            rows.push(BenchResult {
-                name,
-                ns_per_iter: best,
-                iters: u64::from(repeats),
-                peak_bytes: peak,
-                meta: Some(format!(
-                    "{{ \"generator\": \"{}\", \"product\": \"flow\", \"threads\": {t} }}",
-                    backend.name()
-                )),
-            });
+    alloc_counter::reset_peak();
+    let (ss, q) = StateSpace::explore_absorbing_ctmc(&model, &opts, |m| {
+        decided.iter().any(|&d| m.get(d) > 0)
+    })
+    .unwrap();
+    let states = ss.len();
+    drop(ss);
+    let n = q.num_states();
+    // A fixed, structured input so the product is deterministic.
+    let v: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+    let mut y = vec![0.0; n];
+    let repeats = 20u32;
+    for t in [1usize, 8] {
+        let mut best = f64::INFINITY;
+        for _ in 0..repeats {
+            let start = Instant::now();
+            q.flow_mul(&v, &mut y, t);
+            black_box(&y[0]);
+            best = best.min(start.elapsed().as_nanos() as f64);
         }
-        // The two representations must agree on the product itself —
-        // same contract the generator-agreement CI job gates end to
-        // end, here at ULP scale since it is one multiply, not a solve.
-        match &reference {
-            None => reference = Some(y.clone()),
-            Some(r) => {
-                for (i, (&a, &b)) in r.iter().zip(&y).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-                        "kron matvec diverges from csr at state {i}: {a} vs {b}"
-                    );
-                }
-            }
+        // Peak rides on the threads-1 row only: it covers the explore +
+        // generator build + first products high-water mark, which the
+        // thread count does not change.
+        let peak = (t == 1).then(|| alloc_counter::peak_bytes() as u64);
+        let name = format!("csr_matvec/flow_mul_exp_n3_threads{t}_states{states}");
+        match peak {
+            Some(p) => println!(
+                "timed {name:<68} {best:>14.0} ns/iter, peak {:.1} MB (best of {repeats})",
+                p as f64 / (1 << 20) as f64
+            ),
+            None => println!("timed {name:<68} {best:>14.0} ns/iter (best of {repeats})"),
         }
+        rows.push(BenchResult {
+            name,
+            ns_per_iter: best,
+            iters: u64::from(repeats),
+            peak_bytes: peak,
+            meta: Some(format!(
+                "{{ \"generator\": \"csr\", \"product\": \"flow\", \"threads\": {t} }}"
+            )),
+        });
     }
     rows
 }

@@ -25,10 +25,8 @@
 //!   solve on the same n = 3 CTMC, one gate per linear-algebra
 //!   backend, so a regression in any of Gauss–Seidel, Jacobi, or
 //!   Krylov fails CI even while the others stay fast;
-//! * **matvec (per generator)** — the single-thread forward `Q v`
-//!   product on the same n = 3 space, once on the materialized CSR
-//!   matrix and once on the matrix-free Kronecker descriptor, plus a
-//!   peak-heap gate pinning the descriptor's memory headline;
+//! * **matvec** — the single-thread forward `Q v` product of the CSR
+//!   generator on the same n = 3 space;
 //! * **out-of-core analytic** — the full explore → CSR → Krylov-mean
 //!   pipeline on the same n = 3 space under an 8 MB spill budget with
 //!   external-memory dedup, plus a peak-heap gate on the spilled leg
@@ -61,11 +59,7 @@ const GATES: &[(&str, &str)] = &[
         "ooc/analytic-spilled",
         "out_of_core/analytic_exp_n3_ddd_spill8M_states",
     ),
-    ("matvec/csr", "kron_matvec/apply_csr_exp_n3_threads1_states"),
-    (
-        "matvec/kron",
-        "kron_matvec/apply_kron_exp_n3_threads1_states",
-    ),
+    ("matvec/csr", "csr_matvec/flow_mul_exp_n3_threads1_states"),
     (
         "campaign/warm-grid",
         "campaign/grid_warm_paper_n2_order8_points16_states",
@@ -94,10 +88,6 @@ const MEM_GATES: &[(&str, &str)] = &[
     (
         "explore peak-mem",
         "concurrent_intern/explore_exp_n3_threads1_states",
-    ),
-    (
-        "kron matvec peak-mem",
-        "kron_matvec/apply_kron_exp_n3_threads1_states",
     ),
     (
         "ooc spilled peak-mem",
@@ -222,7 +212,7 @@ fn row_from_object(body: &str) -> Option<Row> {
 /// JSON document (the workspace builds offline — no JSON crate — and
 /// the format is ours end to end). The scan is structural, not
 /// line-based: rows may span lines, nest objects (the `op` context of
-/// the `kron_matvec` rows), or carry unknown keys, and anything that
+/// the `csr_matvec` rows), or carry unknown keys, and anything that
 /// lacks a `name` + `ns_per_iter` of its own is skipped.
 fn parse_rows(text: &str) -> Vec<Row> {
     let Some(results_at) = text.find("\"results\"") else {
@@ -417,16 +407,10 @@ mod tests {
     { "name": "solver_backends/solve_exp_n3_jacobi_threads1_states135125", "ns_per_iter": 150000000.0, "iters": 2 },
     { "name": "solver_backends/solve_exp_n3_krylov_threads1_states135125", "ns_per_iter": 60000000.0, "iters": 2 },
     {
-      "name": "kron_matvec/apply_csr_exp_n3_threads1_states135125",
+      "name": "csr_matvec/flow_mul_exp_n3_threads1_states135125",
       "ns_per_iter": 500000.0,
       "iters": 20, "peak_bytes": 52428800,
       "op": { "generator": "csr", "product": "flow", "threads": 1 }
-    },
-    {
-      "name": "kron_matvec/apply_kron_exp_n3_threads1_states135125",
-      "ns_per_iter": 400000.0,
-      "iters": 20, "peak_bytes": 31457280,
-      "op": { "generator": "kron", "product": "flow", "threads": 1 }
     },
     { "name": "out_of_core/analytic_exp_n3_ddd_spill8M_states135125", "ns_per_iter": 650000000.0, "iters": 2, "peak_bytes": 37748736 },
     { "name": "campaign/grid_warm_paper_n2_order8_points16_states4272", "ns_per_iter": 40000000.0, "iters": 16 },
@@ -440,7 +424,7 @@ mod tests {
         let rows = parse_rows(SAMPLE);
         // The host-info object sits outside the results array, so it
         // never becomes a measurement row.
-        assert_eq!(rows.len(), 11);
+        assert_eq!(rows.len(), 10);
         let cal = ns_per_replication(&rows).unwrap();
         assert!((cal - 10000.0).abs() < 1e-9);
         for &(label, prefix) in GATES {
@@ -479,20 +463,17 @@ mod tests {
 
     #[test]
     fn multiline_rows_with_nested_objects_parse_structurally() {
-        // The kron_matvec rows span several lines and nest an `op`
+        // The csr_matvec rows span several lines and nest an `op`
         // object; a line-based scan would drop them (no `ns_per_iter`
         // on the `name` line) or mis-read the nested keys.
         let rows = parse_rows(SAMPLE);
-        let kron = rows
+        let csr = rows
             .iter()
-            .find(|r| r.name.starts_with("kron_matvec/apply_kron_"))
+            .find(|r| r.name.starts_with("csr_matvec/"))
             .expect("multi-line row parsed");
-        assert_eq!(
-            kron.name,
-            "kron_matvec/apply_kron_exp_n3_threads1_states135125"
-        );
-        assert!((kron.ns_per_iter - 400000.0).abs() < 1e-9);
-        assert_eq!(kron.peak_bytes, Some(31457280.0));
+        assert_eq!(csr.name, "csr_matvec/flow_mul_exp_n3_threads1_states135125");
+        assert!((csr.ns_per_iter - 500000.0).abs() < 1e-9);
+        assert_eq!(csr.peak_bytes, Some(52428800.0));
         // No phantom row from the nested object's own keys.
         assert!(rows.iter().all(|r| !r.name.contains("generator")));
     }

@@ -30,7 +30,7 @@ pub struct BenchResult {
     /// measured it (self-timed rows with a counting allocator).
     pub peak_bytes: Option<u64>,
     /// Extra structured context as a raw JSON object literal (e.g.
-    /// `{ "generator": "kron" }`); bench targets render it as a nested
+    /// `{ "generator": "csr" }`); bench targets render it as a nested
     /// object alongside the flat measurement fields.
     pub meta: Option<String>,
 }

@@ -25,8 +25,8 @@ use std::time::Instant;
 
 use ctsim_models::{build_model, latency_replications, SanParams};
 use ctsim_solve::{
-    extrapolated_mean, AnalyticRun, DedupMode, GeneratorBackend, SolveError, SolveOptions,
-    SolverBackend, SpillOptions,
+    extrapolated_mean, AnalyticRun, DedupMode, SolveError, SolveOptions, SolverBackend,
+    SpillOptions,
 };
 use ctsim_testbed::CrashScenario;
 
@@ -55,11 +55,6 @@ pub struct AnalyticOptions {
     /// on the same means — the CI `solver-backends` matrix gates their
     /// agreement to ≤ 1e-6 relative.
     pub backend: SolverBackend,
-    /// Which generator representation the solve iterates on (`repro
-    /// analytic --generator csr|kron`). Both must land on the same
-    /// means — the CI `generator-agreement` job gates them to ≤ 1e-6
-    /// relative.
-    pub generator: GeneratorBackend,
     /// RAM budget (bytes) for the exploration's and solve's bulk
     /// arrays — the transition arena, the packed states, the CSR
     /// entries, and (under [`DedupMode::Auto`]) the intern table's
@@ -97,7 +92,6 @@ impl Default for AnalyticOptions {
             threads: 0,
             n: None,
             backend: SolverBackend::default(),
-            generator: GeneratorBackend::default(),
             spill_budget: None,
             dedup: DedupMode::default(),
             trace: None,
@@ -128,8 +122,6 @@ pub struct AnalyticRow {
     pub solve_ms: f64,
     /// Which backend produced the analytic columns.
     pub backend: SolverBackend,
-    /// Which generator representation the solve iterated on.
-    pub generator: GeneratorBackend,
     /// Tangible states of the underlying CTMC (0 when skipped).
     pub states: usize,
     /// Analytic latency CDF points `(t_ms, P(latency ≤ t))`.
@@ -345,7 +337,6 @@ fn run_inner(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, 
             }
             let reps = latency_replications(&params, analytic_reps(scale), seed, 10_000.0);
             let mut opts = SolveOptions::ph_with_backend(0, ph.threads, ph.backend);
-            opts.generator = ph.generator;
             opts.iter.fallback = ph.fallback;
             opts.reach.max_states = if ph.n.is_some() {
                 params.recommended_max_states(1)
@@ -364,7 +355,6 @@ fn run_inner(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, 
                     ph_raw_ms: None,
                     solve_ms,
                     backend: ph.backend,
-                    generator: ph.generator,
                     states,
                     cdf,
                     sim_ms: reps.mean(),
@@ -381,7 +371,6 @@ fn run_inner(scale: Scale, seed: u64, ph: &AnalyticOptions) -> Result<Analytic, 
                     ph_raw_ms: None,
                     solve_ms: 0.0,
                     backend: ph.backend,
-                    generator: ph.generator,
                     states: 0,
                     cdf: Vec::new(),
                     sim_ms: reps.mean(),
@@ -416,7 +405,6 @@ fn ph_row(
     let reps = latency_replications(&params, analytic_reps(scale), seed, 10_000.0);
     let k = ph.ph_order;
     let mut opts = SolveOptions::ph_with_backend(k, ph.threads, ph.backend);
-    opts.generator = ph.generator;
     opts.iter.fallback = ph.fallback;
     opts.reach.max_states = if ph.n.is_some() {
         params.recommended_max_states(k)
@@ -432,7 +420,6 @@ fn ph_row(
             // error of the Erlang(K) stand-ins for deterministic
             // stages is ∝ 1/K (see `ctsim_solve::extrapolated_mean`).
             let mut prev = SolveOptions::ph_with_backend(k - 1, ph.threads, ph.backend);
-            prev.generator = ph.generator;
             prev.iter.fallback = ph.fallback;
             prev.reach.max_states = opts.reach.max_states;
             prev.reach.spill = opts.reach.spill.clone();
@@ -464,7 +451,6 @@ fn ph_row(
                 ph_raw_ms: Some(raw),
                 solve_ms,
                 backend: ph.backend,
-                generator: ph.generator,
                 states,
                 cdf,
                 sim_ms: reps.mean(),
@@ -482,7 +468,6 @@ fn ph_row(
             ph_raw_ms: None,
             solve_ms: 0.0,
             backend: ph.backend,
-            generator: ph.generator,
             states: 0,
             cdf: Vec::new(),
             sim_ms: reps.mean(),
@@ -530,12 +515,8 @@ impl Analytic {
             .rows
             .first()
             .map_or_else(|| SolverBackend::default().name(), |r| r.backend.name());
-        let generator = self.rows.first().map_or_else(
-            || GeneratorBackend::default().name(),
-            |r| r.generator.name(),
-        );
         s.push_str(&format!(
-            "Analytic overlay — exact solve vs simulation (ms), solver backend: {backend}, generator: {generator}\n"
+            "Analytic overlay — exact solve vs simulation (ms), solver backend: {backend}\n"
         ));
         s.push_str(
             "scenario           |  n | model | states | analytic | solve_ms |     sim |    ci90 | agree | engine\n",
@@ -651,34 +632,6 @@ mod tests {
                 assert!(b.engine_agrees(), "{backend}");
             }
         }
-    }
-
-    /// The matrix-free Kronecker generator reproduces the CSR overlay
-    /// means exactly: the in-process mirror of the CI
-    /// `generator-agreement` job, gated at the same 1e-6 relative
-    /// budget.
-    #[test]
-    fn generators_agree_on_the_overlay_means() {
-        let solve = |generator: GeneratorBackend| {
-            let opts = AnalyticOptions {
-                ph_order: 3,
-                threads: 2,
-                n: Some(2),
-                generator,
-                ..AnalyticOptions::default()
-            };
-            run_with(Scale::Quick, 11, &opts).unwrap()
-        };
-        let reference = solve(GeneratorBackend::Csr);
-        let a = solve(GeneratorBackend::Kron);
-        assert_eq!(a.rows.len(), reference.rows.len());
-        for (r, b) in reference.rows.iter().zip(&a.rows) {
-            let (rm, bm) = (r.analytic_ms.unwrap(), b.analytic_ms.unwrap());
-            assert!((rm - bm).abs() <= 1e-6 * rm.abs(), "kron: {bm} vs csr {rm}");
-            assert_eq!(b.generator, GeneratorBackend::Kron);
-            assert!(b.engine_agrees(), "kron n = {}", b.n);
-        }
-        assert!(a.render().contains("generator: kron"));
     }
 
     #[test]

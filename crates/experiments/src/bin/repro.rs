@@ -4,7 +4,7 @@
 //! repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|campaign|all> \
 //!       [--scale quick|default|full] [--seed N] [--out DIR] \
 //!       [--ph-order K] [--threads T] [--n N] [--solver BACKEND] \
-//!       [--generator csr|kron] [--trace FILE.json] [--metrics FILE.json]
+//!       [--trace FILE.json] [--metrics FILE.json]
 //! ```
 //!
 //! `repro campaign` runs the scenario-campaign engine
@@ -36,11 +36,6 @@
 //! (`gauss-seidel` | `jacobi` | `krylov`) the CTMC is solved with —
 //! every backend must produce the same means, which the CI
 //! `solver-backends` matrix job gates at ≤ 1e-6 relative.
-//! `--generator` picks the generator representation the solver
-//! iterates on: `csr` materializes the rate matrix, `kron` keeps the
-//! Kronecker-factored activity terms and applies them matrix-free.
-//! Both must produce the same means — the CI `generator-agreement`
-//! job gates them at ≤ 1e-6 relative, too.
 //!
 //! `--trace` and `--metrics` turn the `ctsim-obs` telemetry on for the
 //! `analytic` run and write a chrome://tracing `trace_event` file and a
@@ -197,12 +192,6 @@ fn parse_args() -> Result<Args, String> {
             "--solver" => {
                 ph.backend = args.next().ok_or("missing value for --solver")?.parse()?;
             }
-            "--generator" => {
-                ph.generator = args
-                    .next()
-                    .ok_or("missing value for --generator")?
-                    .parse()?;
-            }
             "--spill-budget" => {
                 ph.spill_budget = Some(ctsim_experiments::parse_size(
                     &args.next().ok_or("missing value for --spill-budget")?,
@@ -246,7 +235,7 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     "usage: repro <fig6|fig7a|fig7b|table1|fig8|fig9a|fig9b|ablations|throughput|analytic|campaign|all> \
      [--scale quick|default|full] [--seed N] [--out DIR] [--ph-order K] [--threads T] [--n N] \
-     [--solver gauss-seidel|jacobi|krylov] [--generator csr|kron] [--spill-budget BYTES[K|M|G]] \
+     [--solver gauss-seidel|jacobi|krylov] [--spill-budget BYTES[K|M|G]] \
      [--dedup auto|resident|external] \
      [--trace FILE.json] [--metrics FILE.json] \
      [--grid FILE.csv] [--ns LIST] [--ph-orders LIST] [--service-scales LIST] \
@@ -491,7 +480,7 @@ fn main() {
         println!("{}", a.render());
         write_csv(
             &args.out.join("analytic.csv"),
-            "scenario,n,ph_order,states,analytic_ms,ph_raw_ms,solver,generator,solve_ms,sim_ms,\
+            "scenario,n,ph_order,states,analytic_ms,ph_raw_ms,solver,solve_ms,sim_ms,\
              sim_ci90,agrees,ph_sim_ms,ph_sim_ci90,engine",
             a.rows.iter().map(|r| {
                 // Both verdicts are tri-state so a capped/skipped solve
@@ -512,7 +501,7 @@ fn main() {
                     }
                 };
                 format!(
-                    "{:?},{},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{}",
+                    "{:?},{},{},{},{},{},{},{:.3},{:.4},{:.4},{},{},{},{}",
                     r.scenario,
                     r.n,
                     r.ph_order.map_or(String::new(), |k| k.to_string()),
@@ -520,7 +509,6 @@ fn main() {
                     r.analytic_ms.map_or(String::new(), |v| format!("{v:.6}")),
                     r.ph_raw_ms.map_or(String::new(), |v| format!("{v:.6}")),
                     r.backend,
-                    r.generator,
                     r.solve_ms,
                     r.sim_ms,
                     r.sim_ci90,

@@ -20,7 +20,7 @@
 //! and `absorbing` stay resident: they are `O(states)` and every
 //! solver indexes them randomly. Row access then goes through the
 //! store's LRU pager, and the sweep kernels
-//! (`spmv::flow_mul`, the incoming-view transpose build) use
+//! ([`Ctmc::flow_mul`], the incoming-view transpose build) use
 //! the grouped `SegStore::stream_rows` primitive so a full pass
 //! costs one disk read per spilled segment, not per row. Paging never
 //! changes values: the entries hold the same bits on disk as in RAM
@@ -34,6 +34,7 @@ use ctsim_san::ActivityId;
 use crate::arena::{RowLoc, RowRef, SegStore};
 use crate::graph::{StateSpace, Transition};
 use crate::spill::{SpillRecord, SpillShared};
+use crate::spmv::for_each_shard;
 use crate::SolveError;
 
 /// One off-diagonal CSR entry in spillable form. Destinations fit
@@ -149,7 +150,7 @@ pub struct Ctmc {
 /// destination state, its predecessors and the rates from them, in
 /// ascending predecessor order.
 #[derive(Debug, Clone)]
-pub struct Incoming {
+pub(crate) struct Incoming {
     /// Column starts into `entries` (length `n + 1`).
     col_ptr: Vec<usize>,
     /// `(source, rate)` pairs, grouped by destination.
@@ -182,14 +183,8 @@ impl Incoming {
         Self { col_ptr, entries }
     }
 
-    /// Column starts (a CSR offset array over destinations) — the
-    /// shard-balancing input of the parallel kernels.
-    pub(crate) fn col_ptr(&self) -> &[usize] {
-        &self.col_ptr
-    }
-
     /// The `(source, rate)` predecessors of destination `j`.
-    pub fn column(&self, j: usize) -> &[(usize, f64)] {
+    fn column(&self, j: usize) -> &[(usize, f64)] {
         &self.entries[self.col_ptr[j]..self.col_ptr[j + 1]]
     }
 }
@@ -559,12 +554,6 @@ impl Ctmc {
         (self.row_ptr.clone(), col, rate, self.diag.clone())
     }
 
-    /// The CSR row-offset array (length `n + 1`) — always resident,
-    /// the shard-balancing input of the parallel kernels.
-    pub(crate) fn row_ptr(&self) -> &[usize] {
-        &self.row_ptr
-    }
-
     /// Whether any off-diagonal entries currently live *on disk*: true
     /// only for a paged body with at least one spilled segment. The
     /// row-sweeping in-place solvers (Gauss–Seidel) refuse such
@@ -594,35 +583,6 @@ impl Ctmc {
                     for e in row {
                         f(i, e.col as usize, e.rate);
                     }
-                });
-            }
-        }
-    }
-
-    /// One shard of the flow product `out[i] = Σ_k q_ik · v[k]` (rows
-    /// `lo..lo + shard.len()`), matched to the storage body: resident
-    /// slices index directly, a paged body streams the shard's rows
-    /// through [`SegStore::stream_rows`]. Both walk each row's entries
-    /// left to right, so the summation order (and the bits) agree.
-    pub(crate) fn flow_shard(&self, lo: usize, shard: &mut [f64], v: &[f64]) {
-        match &self.body {
-            CsrBody::Resident { col, rate } => {
-                for (di, o) in shard.iter_mut().enumerate() {
-                    let i = lo + di;
-                    let mut acc = 0.0;
-                    for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                        acc += rate[k] * v[col[k]];
-                    }
-                    *o = acc;
-                }
-            }
-            CsrBody::Paged { entries, locs } => {
-                entries.stream_rows(&locs[lo..lo + shard.len()], |di, row| {
-                    let mut acc = 0.0;
-                    for e in row {
-                        acc += e.rate * v[e.col as usize];
-                    }
-                    shard[di] = acc;
                 });
             }
         }
@@ -675,39 +635,132 @@ impl Ctmc {
         self.diag.iter().fold(0.0, |m, &d| m.max(-d))
     }
 
-    /// Dense row-vector product `out = x · Q` (1/ms units), gathered
-    /// over the cached incoming view. See [`Ctmc::vec_mul_threads`]
-    /// for the sharded variant — this is the single-worker call.
-    ///
-    /// # Panics
-    /// Panics if slice lengths disagree with the state count.
-    pub fn vec_mul(&self, x: &[f64], out: &mut [f64]) {
-        crate::spmv::vec_mul(self, x, out, 1);
+    /// Visits the off-diagonal entries of row `i` in order, calling
+    /// `f(destination, rate)`: the same entries in the same order as
+    /// [`Ctmc::row`], so swapping one for the other never changes bits.
+    /// The storage body is resolved once per row instead of once per
+    /// entry, which is what the Gauss–Seidel sweeps and the triangular
+    /// substitution want in their innermost loop.
+    pub(crate) fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
+        let lo = self.row_ptr[i];
+        let hi = self.row_ptr[i + 1];
+        match &self.body {
+            CsrBody::Resident { col, rate } => {
+                for (&c, &r) in col[lo..hi].iter().zip(&rate[lo..hi]) {
+                    f(c, r);
+                }
+            }
+            CsrBody::Paged { entries, locs } => {
+                for e in entries.row(locs[i]).iter() {
+                    f(e.col as usize, e.rate);
+                }
+            }
+        }
     }
 
-    /// [`Ctmc::vec_mul`] sharded over `threads` workers (`0` = one per
-    /// core). Every output element is gathered by exactly one worker
-    /// in a fixed order, so the result is bit-identical for every
-    /// `threads` value.
-    pub fn vec_mul_threads(&self, x: &[f64], out: &mut [f64], threads: usize) {
-        crate::spmv::vec_mul(self, x, out, threads);
+    /// The off-diagonal entries of column `j`: `(source, rate)` pairs
+    /// in ascending source order, read from the cached incoming view
+    /// (built on first use and shared by every solver backend, so
+    /// repeated solves on one generator pay the transpose once).
+    pub fn column(&self, j: usize) -> &[(usize, f64)] {
+        self.incoming_view().column(j)
     }
 
-    /// The cached column-oriented (incoming) view: for each state, its
-    /// predecessors and the rates from them, in ascending source order.
-    /// Built on first use and shared by every solver backend — repeated
-    /// solves on the same generator (order sweeps, per-sweep residuals)
-    /// no longer pay the transpose each call.
-    pub fn incoming_view(&self) -> &Incoming {
+    /// The cached incoming (column-oriented) view.
+    fn incoming_view(&self) -> &Incoming {
         self.incoming.get_or_init(|| Incoming::build(self))
     }
 
-    /// The incoming view as per-state vectors. Prefer
-    /// [`Ctmc::incoming_view`], which is cached and allocation-free;
-    /// this adapter survives for callers that want owned lists.
-    pub fn incoming(&self) -> Vec<Vec<(usize, f64)>> {
-        let view = self.incoming_view();
-        (0..self.n).map(|j| view.column(j).to_vec()).collect()
+    /// `out = x · Q` including the diagonal (1/ms units): the
+    /// row-vector product the balance residual and the uniformization
+    /// loop need, sharded over `threads` workers (`0` = one per core).
+    /// Gathered per destination over the cached incoming view —
+    /// `out[j] = x[j]·q_jj + Σ_i x[i]·q_ij` with predecessors in
+    /// ascending order — so the result is bit-identical for every
+    /// `threads` value.
+    ///
+    /// Deliberate trade-off vs a scatter kernel: scatter could skip
+    /// whole rows where `x[i] == 0` (cheap early uniformization terms
+    /// under a point-mass initial vector), which a gather cannot see
+    /// without a scan. The gather buys the fixed per-element summation
+    /// order that makes the product shardable *and* bit-identical for
+    /// every thread count, at the cost of always touching all `nnz`
+    /// entries (tracked by the `analytic_n2_transient_cdf_point` bench
+    /// row).
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree with the state count.
+    pub fn vec_mul(&self, x: &[f64], out: &mut [f64], threads: usize) {
+        assert_eq!(x.len(), self.n);
+        assert_eq!(out.len(), self.n);
+        let inc = self.incoming_view();
+        for_each_shard(&inc.col_ptr, threads, out, |lo, shard| {
+            for (dj, o) in shard.iter_mut().enumerate() {
+                let j = lo + dj;
+                let mut acc = x[j] * self.diag[j];
+                for &(i, r) in inc.column(j) {
+                    acc += x[i] * r;
+                }
+                *o = acc;
+            }
+        });
+    }
+
+    /// `out[i] = Σ_k≠i q_ik · v[k]`: the off-diagonal row product (the
+    /// flow term of the absorption system `Q_TT τ = -1`), sharded over
+    /// `threads` workers (`0` = one per core) and bit-identical for
+    /// every value. Works unchanged on a paged generator: each shard
+    /// streams its contiguous row range through the store's grouped
+    /// reader, one disk read per spilled segment,
+    /// and walks each row left to right like the resident body, so the
+    /// bits agree.
+    ///
+    /// # Panics
+    /// Panics if slice lengths disagree with the state count.
+    pub fn flow_mul(&self, v: &[f64], out: &mut [f64], threads: usize) {
+        assert_eq!(v.len(), self.n);
+        assert_eq!(out.len(), self.n);
+        for_each_shard(&self.row_ptr, threads, out, |lo, shard| match &self.body {
+            CsrBody::Resident { col, rate } => {
+                for (di, o) in shard.iter_mut().enumerate() {
+                    let i = lo + di;
+                    let mut acc = 0.0;
+                    for k in self.row_ptr[i]..self.row_ptr[i + 1] {
+                        acc += rate[k] * v[col[k]];
+                    }
+                    *o = acc;
+                }
+            }
+            CsrBody::Paged { entries, locs } => {
+                entries.stream_rows(&locs[lo..lo + shard.len()], |di, row| {
+                    let mut acc = 0.0;
+                    for e in row {
+                        acc += e.rate * v[e.col as usize];
+                    }
+                    shard[di] = acc;
+                });
+            }
+        });
+    }
+
+    /// Backward Gauss–Seidel substitution: solves `(D − U) z = v` in
+    /// place, where `D − U` is the diagonal-plus-strict-upper part of
+    /// `-Q_TT` in the canonical state order (absorbing rows are
+    /// identity). One `O(nnz)` descending pass — the right
+    /// preconditioner of the absorption GMRES.
+    pub(crate) fn upper_solve(&self, v: &mut [f64]) {
+        for i in (0..self.n).rev() {
+            if self.absorbing[i] {
+                continue; // identity row: z_i = v_i
+            }
+            let mut acc = v[i];
+            self.for_each_in_row(i, |k, r| {
+                if k > i {
+                    acc += r * v[k];
+                }
+            });
+            v[i] = acc / -self.diag[i];
+        }
     }
 }
 
@@ -758,80 +811,6 @@ impl Iterator for CsrRowIter<'_> {
 }
 
 impl ExactSizeIterator for CsrRowIter<'_> {}
-
-/// The CSR generator as a [`LinOp`](crate::linop::LinOp): the
-/// reference implementor. Every
-/// method forwards to the pre-existing inherent accessors and sharded
-/// kernels, so solvers monomorphized over `Ctmc` run the exact code
-/// (and produce the bit-exact results) they did before the trait
-/// existed.
-impl crate::linop::LinOp for Ctmc {
-    type Row<'a> = CsrRowIter<'a>;
-    type Col<'a> = std::iter::Copied<std::slice::Iter<'a, (usize, f64)>>;
-
-    fn dim(&self) -> usize {
-        self.n
-    }
-
-    fn diag(&self, i: usize) -> f64 {
-        self.diag[i]
-    }
-
-    fn initial(&self) -> &[f64] {
-        &self.initial
-    }
-
-    fn is_absorbing(&self, i: usize) -> bool {
-        self.absorbing[i]
-    }
-
-    fn max_exit_rate(&self) -> f64 {
-        Ctmc::max_exit_rate(self)
-    }
-
-    fn row(&self, i: usize) -> Self::Row<'_> {
-        Ctmc::row(self, i)
-    }
-
-    // Resolves the storage body once per row, so the sweep kernels'
-    // per-entry loop is a direct slice walk again (the generic
-    // [`CsrRowIter`] pays a discriminant check and guard drop per
-    // entry/row — measurable inside Gauss–Seidel and the GMRES
-    // preconditioner). The entry visit order is identical to `row(i)`
-    // in both arms, so the bits don't change.
-    fn for_each_in_row(&self, i: usize, mut f: impl FnMut(usize, f64)) {
-        let lo = self.row_ptr[i];
-        let hi = self.row_ptr[i + 1];
-        match &self.body {
-            CsrBody::Resident { col, rate } => {
-                for (&c, &r) in col[lo..hi].iter().zip(&rate[lo..hi]) {
-                    f(c, r);
-                }
-            }
-            CsrBody::Paged { entries, locs } => {
-                for e in entries.row(locs[i]).iter() {
-                    f(e.col as usize, e.rate);
-                }
-            }
-        }
-    }
-
-    fn column(&self, j: usize) -> Self::Col<'_> {
-        self.incoming_view().column(j).iter().copied()
-    }
-
-    fn is_streamed(&self) -> bool {
-        Ctmc::is_streamed(self)
-    }
-
-    fn apply(&self, v: &[f64], out: &mut [f64], threads: usize) {
-        crate::spmv::flow_mul(self, v, out, threads);
-    }
-
-    fn apply_transposed(&self, x: &[f64], out: &mut [f64], threads: usize) {
-        crate::spmv::vec_mul(self, x, out, threads);
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -926,7 +905,7 @@ mod tests {
         let q = Ctmc::from_state_space(&ss).unwrap();
         let x = [0.3, 0.7];
         let mut out = [0.0; 2];
-        q.vec_mul(&x, &mut out);
+        q.vec_mul(&x, &mut out, 1);
         // Dense Q = [[-0.5, 0.5], [1.0, -1.0]].
         assert!((out[0] - (0.3 * (-0.5) + 0.7)).abs() < 1e-12);
         assert!((out[1] - (0.3 * 0.5 - 0.7)).abs() < 1e-12);

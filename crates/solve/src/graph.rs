@@ -100,12 +100,9 @@ use ctsim_san::{ActivityId, Marking, SanModel, Timing};
 use ctsim_stoch::{Dist, PhaseType};
 
 use crate::arena::{RowLoc, RowRef, SegStore};
-use crate::backend::GeneratorBackend;
 use crate::ctmc::{Ctmc, CtmcAcc};
 use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
 use crate::intern::Interner;
-use crate::kron::KronAcc;
-use crate::linop::Generator;
 use crate::pack::StateLayout;
 use crate::spill::{DedupMode, SpillOptions, SpillRecord, SpillShared};
 use crate::SolveError;
@@ -1122,47 +1119,6 @@ impl RunSlot {
     };
 }
 
-/// The streaming generator accumulator behind
-/// [`StateSpace::explore_ctmc`] and friends: one variant per
-/// [`GeneratorBackend`], fed the same canonical rows, producing the
-/// matching [`Generator`] representation.
-enum GenSink {
-    Csr(CtmcAcc, Vec<(usize, f64)>),
-    Kron(KronAcc),
-}
-
-impl GenSink {
-    /// With a spill backend the CSR accumulator pages its entry
-    /// segments out under the shared budget ([`CtmcAcc::new_paged`]);
-    /// the Kronecker descriptor is already tiny and stays resident.
-    fn new(backend: GeneratorBackend, spill: Option<Arc<SpillShared>>) -> Self {
-        match backend {
-            GeneratorBackend::Csr => GenSink::Csr(
-                match spill {
-                    Some(s) => CtmcAcc::new_paged(s),
-                    None => CtmcAcc::new(),
-                },
-                Vec::new(),
-            ),
-            GeneratorBackend::Kron => GenSink::Kron(KronAcc::new()),
-        }
-    }
-
-    fn push_row(&mut self, src: usize, outs: &[Transition]) -> Result<(), ActivityId> {
-        match self {
-            GenSink::Csr(acc, scratch) => acc.push_row(src, outs, scratch),
-            GenSink::Kron(acc) => acc.push_row(src, outs),
-        }
-    }
-
-    fn finish(self, initial_pairs: &[(usize, f64)]) -> Generator {
-        match self {
-            GenSink::Csr(acc, _) => Generator::Csr(acc.finish(initial_pairs)),
-            GenSink::Kron(acc) => Generator::Kron(acc.finish(initial_pairs)),
-        }
-    }
-}
-
 /// The output side of the streaming pipeline: the canonical packed
 /// states, the flat transition arena, and (optionally) the CTMC
 /// generator accumulated row by row as levels are emitted.
@@ -1178,7 +1134,9 @@ struct Assembly<'m> {
     row_locs: Vec<RowLoc>,
     absorbing: Vec<bool>,
     total_trans: usize,
-    gen: Option<GenSink>,
+    /// The streaming CSR accumulator behind [`StateSpace::explore_ctmc`]
+    /// and its per-row scratch, when the generator was asked for.
+    ctmc: Option<(CtmcAcc, Vec<(usize, f64)>)>,
     merge_buf: Vec<Transition>,
     runs_buf: Vec<RunSlot>,
     /// Emptied worker chains awaiting reuse by a later level.
@@ -1191,7 +1149,7 @@ impl Assembly<'_> {
     fn new(
         model: &SanModel,
         words: usize,
-        want: Option<GeneratorBackend>,
+        want_ctmc: bool,
         spill: Option<Arc<SpillShared>>,
     ) -> Assembly<'_> {
         let states_per_seg = (PACKED_SEG / words).max(1);
@@ -1208,7 +1166,15 @@ impl Assembly<'_> {
             row_locs: Vec::new(),
             absorbing: Vec::new(),
             total_trans: 0,
-            gen: want.map(|b| GenSink::new(b, spill)),
+            // With a spill backend the CSR entry segments page out
+            // under the shared budget.
+            ctmc: want_ctmc.then(|| {
+                let acc = match spill {
+                    Some(s) => CtmcAcc::new_paged(s),
+                    None => CtmcAcc::new(),
+                };
+                (acc, Vec::new())
+            }),
             merge_buf: Vec::new(),
             runs_buf: Vec::new(),
             chain_pool: Vec::new(),
@@ -1238,8 +1204,8 @@ impl Assembly<'_> {
     /// arena — the emission tail both exploration modes share.
     fn push_state_row(&mut self, src: usize) -> Result<(), Abort> {
         let model = self.model;
-        if let Some(acc) = &mut self.gen {
-            acc.push_row(src, &self.merge_buf).map_err(|a| {
+        if let Some((acc, scratch)) = &mut self.ctmc {
+            acc.push_row(src, &self.merge_buf, scratch).map_err(|a| {
                 Abort::Solve(SolveError::NonMarkovian {
                     activity: model.activity_name(a).to_string(),
                 })
@@ -1392,10 +1358,16 @@ fn canonize_frontier(
     (order, keys)
 }
 
+/// Unwraps the generator that [`StateSpace::explore_inner`] always
+/// builds when asked for one.
+fn with_ctmc<'m>((ss, ctmc): (StateSpace<'m>, Option<Ctmc>)) -> (StateSpace<'m>, Ctmc) {
+    (ss, ctmc.expect("exploration builds the CSR when asked"))
+}
+
 impl<'m> StateSpace<'m> {
     /// Explores the full tangible state space (no absorbing predicate).
     pub fn explore(model: &'m SanModel, opts: &ReachOptions) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, None, None).map(|(ss, _)| ss)
+        Self::explore_inner(model, opts, None, false).map(|(ss, _)| ss)
     }
 
     /// [`StateSpace::explore`] with the CTMC generator built *in the
@@ -1409,26 +1381,7 @@ impl<'m> StateSpace<'m> {
         model: &'m SanModel,
         opts: &ReachOptions,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, None, Some(GeneratorBackend::Csr)).map(|(ss, gen)| {
-            match gen {
-                Some(Generator::Csr(q)) => (ss, q),
-                _ => unreachable!("csr generator requested"),
-            }
-        })
-    }
-
-    /// [`StateSpace::explore_ctmc`] generalized over the generator
-    /// representation: the returned [`Generator`] is the CSR matrix or
-    /// the factored Kronecker-style descriptor
-    /// ([`KronGenerator`](crate::KronGenerator)) per `backend`, built
-    /// in the same streaming pass.
-    pub fn explore_gen(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        backend: GeneratorBackend,
-    ) -> Result<(Self, Generator), SolveError> {
-        Self::explore_inner(model, opts, None, Some(backend))
-            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
+        Self::explore_inner(model, opts, None, true).map(with_ctmc)
     }
 
     /// [`StateSpace::explore_absorbing`] with the CTMC generator built
@@ -1438,24 +1391,7 @@ impl<'m> StateSpace<'m> {
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), Some(GeneratorBackend::Csr)).map(
-            |(ss, gen)| match gen {
-                Some(Generator::Csr(q)) => (ss, q),
-                _ => unreachable!("csr generator requested"),
-            },
-        )
-    }
-
-    /// [`StateSpace::explore_absorbing_ctmc`] generalized over the
-    /// generator representation — see [`StateSpace::explore_gen`].
-    pub fn explore_absorbing_gen(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        backend: GeneratorBackend,
-        absorb: impl Fn(&Marking) -> bool + Sync,
-    ) -> Result<(Self, Generator), SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), Some(backend))
-            .map(|(ss, gen)| (ss, gen.expect("generator requested")))
+        Self::explore_inner(model, opts, Some(&absorb), true).map(with_ctmc)
     }
 
     /// Explores the state space, treating every tangible marking for
@@ -1474,26 +1410,28 @@ impl<'m> StateSpace<'m> {
         opts: &ReachOptions,
         absorb: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), None).map(|(ss, _)| ss)
+        Self::explore_inner(model, opts, Some(&absorb), false).map(|(ss, _)| ss)
     }
 
+    /// Explores, building the CSR generator in the same pass when
+    /// `want_ctmc` is set.
     fn explore_inner(
         model: &'m SanModel,
         opts: &ReachOptions,
         absorb: Option<&AbsorbFn<'_>>,
-        want: Option<GeneratorBackend>,
-    ) -> Result<(Self, Option<Generator>), SolveError> {
+        want_ctmc: bool,
+    ) -> Result<(Self, Option<Ctmc>), SolveError> {
         // All spill read-back failures below (packed states, transition
         // arena, paged CSR) surface typed through this boundary.
-        crate::catch_spill(|| Self::explore_inner_impl(model, opts, absorb, want))
+        crate::catch_spill(|| Self::explore_inner_impl(model, opts, absorb, want_ctmc))
     }
 
     fn explore_inner_impl(
         model: &'m SanModel,
         opts: &ReachOptions,
         absorb: Option<&AbsorbFn<'_>>,
-        want: Option<GeneratorBackend>,
-    ) -> Result<(Self, Option<Generator>), SolveError> {
+        want_ctmc: bool,
+    ) -> Result<(Self, Option<Ctmc>), SolveError> {
         let expansion = Expansion::build(model, opts.ph_order)?;
         let mut layout = StateLayout::new(model.num_places(), &expansion.phase_maxes());
         // External-memory dedup from level 0 when forced; otherwise the
@@ -1506,9 +1444,9 @@ impl<'m> StateSpace<'m> {
             .is_some_and(|s| s.dedup == DedupMode::External);
         loop {
             let attempt = if force_ddd {
-                Self::explore_attempt_ddd(model, opts, absorb, &expansion, &layout, want)
+                Self::explore_attempt_ddd(model, opts, absorb, &expansion, &layout, want_ctmc)
             } else {
-                Self::explore_attempt(model, opts, absorb, &expansion, &layout, want)
+                Self::explore_attempt(model, opts, absorb, &expansion, &layout, want_ctmc)
             };
             match attempt {
                 Ok(pair) => return Ok(pair),
@@ -1532,8 +1470,8 @@ impl<'m> StateSpace<'m> {
         absorb: Option<&AbsorbFn<'_>>,
         expansion: &Expansion,
         layout: &StateLayout,
-        want: Option<GeneratorBackend>,
-    ) -> Result<(Self, Option<Generator>), Abort> {
+        want_ctmc: bool,
+    ) -> Result<(Self, Option<Ctmc>), Abort> {
         let base = model.num_places();
         let words = layout.words();
         let explorer = Explorer::new(model, opts, expansion, absorb, layout);
@@ -1557,7 +1495,7 @@ impl<'m> StateSpace<'m> {
             Some(s) => Some(Arc::new(SpillShared::new(s).map_err(Abort::Solve)?)),
             None => None,
         };
-        let mut asm = Assembly::new(model, words, want, spill);
+        let mut asm = Assembly::new(model, words, want_ctmc, spill);
         let mut canon: Vec<u32> = Vec::new();
         let (mut cur_order, mut cur_keys) =
             canonize_frontier(&interner, words, 0, interner.len(), &mut canon, None);
@@ -1768,7 +1706,7 @@ impl<'m> StateSpace<'m> {
             .map(|(id, p)| (canon[id] as usize, p))
             .collect();
         init.sort_unstable_by_key(|&(i, _)| i);
-        let gen = asm.gen.take().map(|acc| acc.finish(&init));
+        let ctmc = asm.ctmc.take().map(|(acc, _)| acc.finish(&init));
         let packed = match asm.packed {
             // Spill mode: the pageable copy is the backing; the intern
             // arena is freed wholesale right here.
@@ -1804,7 +1742,7 @@ impl<'m> StateSpace<'m> {
             ph_order: opts.ph_order,
             shape: expansion.shape(model),
         };
-        Ok((ss, gen))
+        Ok((ss, ctmc))
     }
 
     /// [`StateSpace::explore_attempt`] in external-memory mode: states
@@ -1821,8 +1759,8 @@ impl<'m> StateSpace<'m> {
         absorb: Option<&AbsorbFn<'_>>,
         expansion: &Expansion,
         layout: &StateLayout,
-        want: Option<GeneratorBackend>,
-    ) -> Result<(Self, Option<Generator>), Abort> {
+        want_ctmc: bool,
+    ) -> Result<(Self, Option<Ctmc>), Abort> {
         let base = model.num_places();
         let words = layout.words();
         let explorer = Explorer::new(model, opts, expansion, absorb, layout);
@@ -1857,7 +1795,7 @@ impl<'m> StateSpace<'m> {
         let mut frontier = r0.frontier;
         drop(seed);
 
-        let mut asm = Assembly::new(model, words, want, Some(spill));
+        let mut asm = Assembly::new(model, words, want_ctmc, Some(spill));
         let mut pending: Option<PendingDddLevel> = None;
         let mut worker_states: Vec<DddWorker> =
             (0..workers).map(|_| DddWorker::new(layout)).collect();
@@ -2027,7 +1965,7 @@ impl<'m> StateSpace<'m> {
             ctsim_obs::counter_add("spill.pager_misses", 0);
             ctsim_obs::counter_add("spill.paged_out_bytes", 0);
         }
-        let gen = asm.gen.take().map(|acc| acc.finish(&init));
+        let ctmc = asm.ctmc.take().map(|(acc, _)| acc.finish(&init));
         let mut store = asm
             .packed
             .expect("external dedup always spills the packed states");
@@ -2050,7 +1988,7 @@ impl<'m> StateSpace<'m> {
             ph_order: opts.ph_order,
             shape: expansion.shape(model),
         };
-        Ok((ss, gen))
+        Ok((ss, ctmc))
     }
 
     /// The model this space was explored from.

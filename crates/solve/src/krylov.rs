@@ -52,7 +52,7 @@
 use std::cell::RefCell;
 
 use crate::backend::SolverBackend;
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::steady::{AbsorptionTimes, IterOptions, SteadyState};
 use crate::SolveError;
 
@@ -283,7 +283,7 @@ where
 /// Steady state via restarted GMRES (see module docs). Pre-checks
 /// (empty/absorbing chains) are done by the dispatching
 /// [`steady_state`](crate::steady_state).
-pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
+pub(crate) fn steady(op: &Ctmc, opts: &IterOptions) -> Result<SteadyState, SolveError> {
     // Deterministic chaos hook for the fallback chain: an armed
     // `solver.krylov` failpoint makes this backend report stagnation
     // without spending any iterations.
@@ -296,7 +296,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
             residual: f64::INFINITY,
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let threads = opts.threads;
     // Anchor: the equation replaced by Σπ = 1. The state with the
     // largest exit rate keeps the preconditioned system best scaled.
@@ -314,7 +314,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
     let mut b = vec![0.0; n];
     b[anchor] = 1.0;
     let apply = |x: &[f64], out: &mut [f64]| {
-        op.apply_transposed(x, out, threads);
+        op.vec_mul(x, out, threads);
         out[anchor] = x.iter().sum();
         for (o, &s) in out.iter_mut().zip(&scale) {
             *o /= s;
@@ -338,7 +338,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
             for (nv, &v) in normed.iter_mut().zip(x) {
                 *nv = v / total;
             }
-            op.apply_transposed(normed, qv, threads);
+            op.vec_mul(normed, qv, threads);
             qv.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
         };
         gmres(n, apply, &b, &mut pi, opts, check, "krylov_steady")?
@@ -360,7 +360,7 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
     for p in &mut pi {
         *p /= total;
     }
-    op.apply_transposed(&pi, &mut qv, threads);
+    op.vec_mul(&pi, &mut qv, threads);
     let residual = qv.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
     if !residual.is_finite() || residual > opts.tolerance {
         return Err(SolveError::NotConverged {
@@ -377,13 +377,10 @@ pub(crate) fn steady<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState
 }
 
 /// Absorption times via restarted GMRES, right-preconditioned by a
-/// backward Gauss–Seidel substitution ([`LinOp::upper_solve`]; see
+/// backward Gauss–Seidel substitution (`Ctmc::upper_solve`; see
 /// module docs). The dispatcher has already verified an absorbing
 /// state exists.
-pub(crate) fn absorption<L: LinOp>(
-    op: &L,
-    opts: &IterOptions,
-) -> Result<AbsorptionTimes, SolveError> {
+pub(crate) fn absorption(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     // Same chaos hook as `steady`: see the fallback-chain docs.
     if matches!(
         ctsim_resilience::fail::hit("solver.krylov"),
@@ -394,7 +391,7 @@ pub(crate) fn absorption<L: LinOp>(
             residual: f64::INFINITY,
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let threads = opts.threads;
     // `B τ = c` with `B = -Q_TT` over transient rows (positive
     // diagonal), identity on absorbing rows. GMRES iterates the
@@ -409,7 +406,7 @@ pub(crate) fn absorption<L: LinOp>(
         let mut z = apply_z.borrow_mut();
         z.copy_from_slice(u);
         op.upper_solve(&mut z);
-        op.apply(&z, out, threads);
+        op.flow_mul(&z, out, threads);
         for i in 0..n {
             out[i] = if op.is_absorbing(i) {
                 z[i]
@@ -426,7 +423,7 @@ pub(crate) fn absorption<L: LinOp>(
         let (z, flow) = &mut *s;
         z.copy_from_slice(u);
         op.upper_solve(z);
-        op.apply(z, flow, threads);
+        op.flow_mul(z, flow, threads);
         let mut res = 0.0f64;
         for i in 0..n {
             if !op.is_absorbing(i) {

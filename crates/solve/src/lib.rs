@@ -221,9 +221,7 @@ pub mod ctmc;
 mod ddd;
 pub mod graph;
 mod intern;
-pub mod kron;
 mod krylov;
-pub mod linop;
 mod pack;
 pub mod reward;
 pub mod spill;
@@ -232,12 +230,10 @@ pub mod steady;
 pub mod transient;
 
 pub use arena::RowRef;
-pub use backend::{GeneratorBackend, SolverBackend};
+pub use backend::SolverBackend;
 pub use cache::{CachedGraph, GraphCache, StructuralKey};
-pub use ctmc::{Ctmc, Incoming};
+pub use ctmc::Ctmc;
 pub use graph::{GraphParts, ReachOptions, StateSpace, Transition};
-pub use kron::KronGenerator;
-pub use linop::{Generator, LinOp};
 pub use reward::{
     expected_impulse_rate, expected_rate_reward, probability, AnalyticOutcome, AnalyticRun,
 };
@@ -260,9 +256,6 @@ pub struct SolveOptions {
     pub iter: IterOptions,
     /// Uniformization truncation tolerance, term cap, and SpMV threads.
     pub transient: TransientOptions,
-    /// Which generator representation the solvers iterate on (CSR or
-    /// the factored Kronecker-style descriptor).
-    pub generator: GeneratorBackend,
 }
 
 impl SolveOptions {

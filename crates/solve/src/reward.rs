@@ -14,10 +14,8 @@ use std::sync::{Mutex, PoisonError};
 
 use ctsim_san::{ActivityId, Marking, SanModel};
 
-use crate::backend::GeneratorBackend;
 use crate::ctmc::Ctmc;
 use crate::graph::{ReachOptions, StateSpace};
-use crate::linop::{Generator, LinOp};
 use crate::steady::{mean_time_to_absorption, IterOptions};
 use crate::transient::{AbsorbedMass, TransientOptions};
 use crate::{SolveError, SolveOptions};
@@ -80,9 +78,7 @@ pub fn expected_impulse_rate(
 }
 
 /// A solved first-passage problem: the state space explored with the
-/// goal predicate absorbing, plus its generator (CSR by default, or
-/// the matrix-free Kronecker descriptor via
-/// [`SolveOptions::generator`]).
+/// goal predicate absorbing, plus its CSR generator.
 ///
 /// This is the analytic replacement for the replication loop "run until
 /// the predicate holds, record the time": the absorbed probability mass
@@ -94,7 +90,7 @@ pub fn expected_impulse_rate(
 /// [`AnalyticRun::cdf`]).
 pub struct AnalyticRun<'m> {
     space: StateSpace<'m>,
-    gen: Generator,
+    ctmc: Ctmc,
     absorbed: Mutex<AbsorbedMass>,
 }
 
@@ -109,7 +105,7 @@ impl std::fmt::Debug for AnalyticRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalyticRun")
             .field("states", &self.space.len())
-            .field("rates", &self.num_rates())
+            .field("rates", &self.ctmc.num_rates())
             .finish()
     }
 }
@@ -132,7 +128,10 @@ pub struct AnalyticOutcome {
 }
 
 impl<'m> AnalyticRun<'m> {
-    /// Explores `model` with `goal` absorbing and builds the CTMC.
+    /// Explores `model` with `goal` absorbing and builds the CTMC. The
+    /// streaming pipeline assembles generator rows per BFS level while
+    /// later levels are still being explored, so explore → generator
+    /// is one overlapped pass, not two serial ones.
     ///
     /// # Errors
     /// Exploration errors ([`SolveError::StateSpaceTooLarge`],
@@ -144,38 +143,23 @@ impl<'m> AnalyticRun<'m> {
         opts: &ReachOptions,
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::first_passage_gen(model, opts, GeneratorBackend::Csr, goal)
-    }
-
-    /// [`AnalyticRun::first_passage`] with an explicit generator
-    /// representation. The streaming pipeline assembles generator rows
-    /// per BFS level while later levels are still being explored, so
-    /// explore → generator is one overlapped pass, not two serial
-    /// ones — for both representations.
-    pub fn first_passage_gen(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        backend: GeneratorBackend,
-        goal: impl Fn(&Marking) -> bool + Sync,
-    ) -> Result<Self, SolveError> {
-        let (space, gen) = StateSpace::explore_absorbing_gen(model, opts, backend, goal)?;
+        let (space, ctmc) = StateSpace::explore_absorbing_ctmc(model, opts, goal)?;
         Ok(Self {
             space,
-            gen,
+            ctmc,
             absorbed: Mutex::default(),
         })
     }
 
     /// [`AnalyticRun::first_passage`] with the top-level
     /// [`SolveOptions`] bundle — the entry point experiment code uses
-    /// to dial phase-type order, exploration threads, and the
-    /// generator representation.
+    /// to dial phase-type order and exploration threads.
     pub fn first_passage_with(
         model: &'m SanModel,
         opts: &SolveOptions,
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        Self::first_passage_gen(model, &opts.reach, opts.generator, goal)
+        Self::first_passage(model, &opts.reach, goal)
     }
 
     /// The explored state space.
@@ -183,31 +167,9 @@ impl<'m> AnalyticRun<'m> {
         &self.space
     }
 
-    /// The generator, in whichever representation was requested.
-    pub fn generator(&self) -> &Generator {
-        &self.gen
-    }
-
     /// The CSR generator matrix.
-    ///
-    /// # Panics
-    /// If the run was solved with the matrix-free
-    /// [`GeneratorBackend::Kron`] representation — use
-    /// [`AnalyticRun::generator`] there.
     pub fn ctmc(&self) -> &Ctmc {
-        self.gen
-            .as_csr()
-            .expect("run uses the kron generator; use AnalyticRun::generator")
-    }
-
-    /// Stored off-diagonal generator entries (CSR rates, or factored
-    /// descriptor entries — the counts differ only where several
-    /// activities drive the same state pair).
-    fn num_rates(&self) -> usize {
-        match &self.gen {
-            Generator::Csr(q) => q.num_rates(),
-            Generator::Kron(k) => k.num_entries(),
-        }
+        &self.ctmc
     }
 
     /// `P(T ≤ t)`: probability the predicate holds by time `t` (ms) —
@@ -230,7 +192,7 @@ impl<'m> AnalyticRun<'m> {
         // A panic inside an extension cannot leave a torn prefix (see
         // `AbsorbedMass`), so a poisoned lock is safe to reuse.
         let mut absorbed = self.absorbed.lock().unwrap_or_else(PoisonError::into_inner);
-        crate::catch_spill(|| absorbed.cdf(&self.gen, &self.space.absorbing, t_ms, opts))
+        crate::catch_spill(|| absorbed.cdf(&self.ctmc, &self.space.absorbing, t_ms, opts))
     }
 
     /// The expected first-passage time, solved exactly from
@@ -247,15 +209,15 @@ impl<'m> AnalyticRun<'m> {
         // Every state is reachable by construction, so a rate-absorbing
         // state outside the goal set traps probability mass forever.
         if let Some(state) =
-            (0..self.space.len()).find(|&s| self.gen.is_absorbing(s) && !self.space.absorbing[s])
+            (0..self.space.len()).find(|&s| self.ctmc.is_absorbing(s) && !self.space.absorbing[s])
         {
             return Err(SolveError::GoalUnreachable { state });
         }
-        let sol = mean_time_to_absorption(&self.gen, opts)?;
+        let sol = mean_time_to_absorption(&self.ctmc, opts)?;
         Ok(AnalyticOutcome {
             mean_ms: sol.mean,
             states: self.space.len(),
-            rates: self.num_rates(),
+            rates: self.ctmc.num_rates(),
             iterations: sol.iterations,
             solved_by: sol.solved_by,
         })

@@ -1,4 +1,6 @@
-//! Sharded sparse matrix–vector kernels over the CSR generator.
+//! Output sharding for the sparse matrix–vector products of the CSR
+//! generator ([`Ctmc::vec_mul`](crate::Ctmc::vec_mul) and
+//! [`Ctmc::flow_mul`](crate::Ctmc::flow_mul)).
 //!
 //! Both orientations of the generator product are *gather* loops — every
 //! output element is a sum the owning worker computes alone, in a fixed
@@ -9,8 +11,6 @@
 //! range so every shard carries roughly the same number of stored
 //! rates, and small systems run inline because spawning a thread costs
 //! more than the whole product.
-
-use crate::ctmc::Ctmc;
 
 /// Below this many states a sharded product runs inline: thread spawn
 /// and join overhead dwarfs the arithmetic.
@@ -123,55 +123,10 @@ where
     }
 }
 
-/// `out = x · Q` over `threads` workers: the row-vector product both
-/// the balance residual and the uniformization inner loop need.
-/// Gathered per destination over the cached incoming view —
-/// `out[j] = x[j]·q_jj + Σ_i x[i]·q_ij` with predecessors in ascending
-/// order — so the floating-point result does not depend on the thread
-/// count.
-///
-/// Deliberate trade-off vs the former scatter kernel: scatter could
-/// skip whole rows where `x[i] == 0` (cheap early uniformization terms
-/// under a point-mass initial vector), which a gather cannot see
-/// without a scan. The gather buys the fixed per-element summation
-/// order that makes the product shardable *and* bit-identical for
-/// every thread count — the property every parallel backend rests on —
-/// at the cost of always touching all `nnz` entries (tracked by the
-/// `analytic_n2_transient_cdf_point` bench row).
-pub(crate) fn vec_mul(ctmc: &Ctmc, x: &[f64], out: &mut [f64], threads: usize) {
-    assert_eq!(x.len(), ctmc.num_states());
-    assert_eq!(out.len(), ctmc.num_states());
-    let inc = ctmc.incoming_view();
-    for_each_shard(inc.col_ptr(), threads, out, |lo, shard| {
-        for (dj, o) in shard.iter_mut().enumerate() {
-            let j = lo + dj;
-            let mut acc = x[j] * ctmc.diag(j);
-            for &(i, r) in inc.column(j) {
-                acc += x[i] * r;
-            }
-            *o = acc;
-        }
-    });
-}
-
-/// `out[i] = Σ_k q_ik · v[k]` over the *off-diagonal* outgoing rows —
-/// the flow term of the absorption system `Q_TT τ = -1`, gathered per
-/// source row so it shards the same way. Works unchanged on a paged
-/// generator: each shard streams its contiguous row range through the
-/// store's grouped reader ([`Ctmc::flow_shard`]), paying one disk read
-/// per spilled segment per sweep, and the per-row summation order is
-/// the same as the resident body's, so the bits agree.
-pub(crate) fn flow_mul(ctmc: &Ctmc, v: &[f64], out: &mut [f64], threads: usize) {
-    assert_eq!(v.len(), ctmc.num_states());
-    assert_eq!(out.len(), ctmc.num_states());
-    for_each_shard(ctmc.row_ptr(), threads, out, |lo, shard| {
-        ctmc.flow_shard(lo, shard, v);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctmc::Ctmc;
     use crate::graph::{ReachOptions, StateSpace};
     use ctsim_san::{Activity, Case, SanBuilder};
     use ctsim_stoch::Dist;
@@ -210,15 +165,15 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| 1.0 / (i + 1) as f64).collect();
         let mut base = vec![0.0; n];
         let mut base_flow = vec![0.0; n];
-        vec_mul(&q, &x, &mut base, 1);
-        flow_mul(&q, &x, &mut base_flow, 1);
+        q.vec_mul(&x, &mut base, 1);
+        q.flow_mul(&x, &mut base_flow, 1);
         for threads in [2usize, 3, 8] {
             let mut out = vec![0.0; n];
-            vec_mul(&q, &x, &mut out, threads);
+            q.vec_mul(&x, &mut out, threads);
             for (a, b) in base.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits(), "vec_mul at {threads} threads");
             }
-            flow_mul(&q, &x, &mut out, threads);
+            q.flow_mul(&x, &mut out, threads);
             for (a, b) in base_flow.iter().zip(&out) {
                 assert_eq!(a.to_bits(), b.to_bits(), "flow_mul at {threads} threads");
             }

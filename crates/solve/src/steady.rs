@@ -20,7 +20,7 @@
 //! diagnostics — never NaNs, never a hang.
 
 use crate::backend::SolverBackend;
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::{krylov, SolveError};
 
 /// Iterations per telemetry batch span in the stationary loops.
@@ -154,8 +154,8 @@ pub(crate) fn initial_pi(n: usize, opts: &IterOptions) -> Vec<f64> {
 
 /// Initial τ iterate for the absorption solvers: the warm start with
 /// absorbing entries scrubbed to their exact value 0, or all zeros.
-pub(crate) fn initial_tau<L: LinOp>(op: &L, opts: &IterOptions) -> Option<Vec<f64>> {
-    let n = op.dim();
+pub(crate) fn initial_tau(op: &Ctmc, opts: &IterOptions) -> Option<Vec<f64>> {
+    let n = op.num_states();
     let w = warm_vec(opts, n)?;
     let mut tau = w.to_vec();
     for (i, t) in tau.iter_mut().enumerate() {
@@ -184,9 +184,8 @@ pub struct SteadyState {
     pub solved_by: SolverBackend,
 }
 
-/// Solves `πQ = 0`, `Σπ = 1` with the backend named in `opts`, over
-/// any [`LinOp`] generator representation (CSR, Kronecker descriptor,
-/// or the runtime-selected [`Generator`](crate::Generator)).
+/// Solves `πQ = 0`, `Σπ = 1` for the generator `op` with the backend
+/// named in `opts`.
 ///
 /// # Errors
 /// * [`SolveError::SteadyStateUndefined`] if the chain has an absorbing
@@ -196,8 +195,8 @@ pub struct SteadyState {
 ///   the tolerance within the iteration budget (e.g. the chain is
 ///   reducible, or a stiff chain outruns a stationary backend's
 ///   budget).
-pub fn steady_state<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    let n = op.dim();
+pub fn steady_state(op: &Ctmc, opts: &IterOptions) -> Result<SteadyState, SolveError> {
+    let n = op.num_states();
     if n == 0 {
         return Err(SolveError::EmptyStateSpace);
     }
@@ -264,13 +263,13 @@ fn note_fallback(what: &'static str, from: SolverBackend, to: SolverBackend, err
 /// `O(rates)` footprint the spill budget was meant to cap. A streamed
 /// generator is refused up front with [`SolveError::ResidentOnly`] —
 /// the Jacobi and Krylov backends handle that case.
-fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
+fn steady_gauss_seidel(op: &Ctmc, opts: &IterOptions) -> Result<SteadyState, SolveError> {
     if op.is_streamed() {
         return Err(SolveError::ResidentOnly {
             backend: "gauss-seidel".into(),
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let mut pi = initial_pi(n, opts);
     let mut qv = vec![0.0; n];
     let mut residual = f64::INFINITY;
@@ -282,7 +281,7 @@ fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadySta
     for sweep in 1..=opts.max_iterations {
         // π_j ← (Σ_{i≠j} π_i q_ij) / |q_jj|, in place (Gauss–Seidel).
         for j in 0..n {
-            let inflow: f64 = op.column(j).map(|(i, r)| pi[i] * r).sum();
+            let inflow: f64 = op.column(j).iter().map(|&(i, r)| pi[i] * r).sum();
             pi[j] = inflow / -op.diag(j);
         }
         let total: f64 = pi.iter().sum();
@@ -296,7 +295,7 @@ fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadySta
             *p /= total;
         }
         // Residual: sup-norm of the balance equations πQ.
-        op.apply_transposed(&pi, &mut qv, 1);
+        op.vec_mul(&pi, &mut qv, 1);
         residual = qv.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         if ctsim_obs::enabled() {
             let done = residual <= opts.tolerance;
@@ -331,8 +330,8 @@ fn steady_gauss_seidel<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadySta
 /// chain Jacobi split would cycle on periodic chains). Each step is one
 /// sharded `π·Q` product over [`IterOptions::threads`] workers plus two
 /// `O(n)` passes.
-fn steady_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, SolveError> {
-    let n = op.dim();
+fn steady_jacobi(op: &Ctmc, opts: &IterOptions) -> Result<SteadyState, SolveError> {
+    let n = op.num_states();
     let lambda = op.max_exit_rate() * 1.05;
     if !(lambda.is_finite() && lambda > 0.0) {
         return Err(SolveError::NotConverged {
@@ -349,7 +348,7 @@ fn steady_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<SteadyState, So
         0
     };
     for step in 1..=opts.max_iterations {
-        op.apply_transposed(&pi, &mut qv, opts.threads);
+        op.vec_mul(&pi, &mut qv, opts.threads);
         // The product is the residual of the *current* normalized
         // iterate — free, exactly like the Gauss–Seidel check.
         residual = qv.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
@@ -411,20 +410,19 @@ pub struct AbsorptionTimes {
     pub solved_by: SolverBackend,
 }
 
-/// Solves the expected time to absorption from every state with the
-/// backend named in `opts`, over any [`LinOp`] generator
-/// representation.
+/// Solves the expected time to absorption from every state of the
+/// generator `op` with the backend named in `opts`.
 ///
 /// # Errors
 /// * [`SolveError::NoAbsorbingStates`] if the chain has none.
 /// * [`SolveError::NotConverged`] if absorption is not certain from
 ///   some reachable state (the expected time is then infinite) or the
 ///   iteration budget is exhausted.
-pub fn mean_time_to_absorption<L: LinOp>(
-    op: &L,
+pub fn mean_time_to_absorption(
+    op: &Ctmc,
     opts: &IterOptions,
 ) -> Result<AbsorptionTimes, SolveError> {
-    let n = op.dim();
+    let n = op.num_states();
     if n == 0 {
         return Err(SolveError::EmptyStateSpace);
     }
@@ -463,16 +461,13 @@ pub fn mean_time_to_absorption<L: LinOp>(
 /// cannot serve without thrashing. Streamed generators are refused
 /// with [`SolveError::ResidentOnly`]; use Jacobi or Krylov (the
 /// default first-passage path), which sweep rows in shard order.
-fn absorption_gauss_seidel<L: LinOp>(
-    op: &L,
-    opts: &IterOptions,
-) -> Result<AbsorptionTimes, SolveError> {
+fn absorption_gauss_seidel(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
     if op.is_streamed() {
         return Err(SolveError::ResidentOnly {
             backend: "gauss-seidel".into(),
         });
     }
-    let n = op.dim();
+    let n = op.num_states();
     let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
     let mut residual = f64::INFINITY;
     let mut batch_t0 = if ctsim_obs::enabled() {
@@ -536,8 +531,8 @@ fn absorption_gauss_seidel<L: LinOp>(
 /// `Q_TT τ = -1`. The flow gather `Σ_k q_jk τ_k` is one sharded
 /// row-oriented SpMV; since every update reads only the previous
 /// iterate, the buffers swap and no write order matters.
-fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
-    let n = op.dim();
+fn absorption_jacobi(op: &Ctmc, opts: &IterOptions) -> Result<AbsorptionTimes, SolveError> {
+    let n = op.num_states();
     let mut tau = initial_tau(op, opts).unwrap_or_else(|| vec![0.0; n]);
     let mut flow = vec![0.0; n];
     let mut residual = f64::INFINITY;
@@ -547,7 +542,7 @@ fn absorption_jacobi<L: LinOp>(op: &L, opts: &IterOptions) -> Result<AbsorptionT
         0
     };
     for step in 1..=opts.max_iterations {
-        op.apply(&tau, &mut flow, opts.threads);
+        op.flow_mul(&tau, &mut flow, opts.threads);
         residual = 0.0;
         for j in 0..n {
             if op.is_absorbing(j) {

@@ -28,7 +28,7 @@
 //! temporarily pays the full `O(rates)` transpose in RAM; the
 //! absorption-mean path (Krylov) is the one that stays out-of-core.
 
-use crate::linop::LinOp;
+use crate::ctmc::Ctmc;
 use crate::SolveError;
 
 /// Poisson terms per telemetry batch span in the uniformization loop.
@@ -73,30 +73,22 @@ pub struct Transient {
 }
 
 /// Computes `π(t)` for the chain started from its initial
-/// distribution, over any [`LinOp`] generator representation.
+/// distribution.
 ///
 /// # Errors
 /// [`SolveError::InvalidTime`] if `t_ms` is negative or not finite;
 /// [`SolveError::TruncationTooLong`] if `Λt` needs more than
 /// `max_terms` Poisson terms at the requested tolerance.
-pub fn transient<L: LinOp>(
-    op: &L,
-    t_ms: f64,
-    opts: &TransientOptions,
-) -> Result<Transient, SolveError> {
+pub fn transient(op: &Ctmc, t_ms: f64, opts: &TransientOptions) -> Result<Transient, SolveError> {
     // Boundary for the typed spill-failure channel: a disk-paged
     // generator whose read-back exhausts its retries surfaces here as
     // `Err(SolveError::SpillFailed)` instead of a panic.
     crate::catch_spill(|| transient_inner(op, t_ms, opts))
 }
 
-fn transient_inner<L: LinOp>(
-    op: &L,
-    t_ms: f64,
-    opts: &TransientOptions,
-) -> Result<Transient, SolveError> {
+fn transient_inner(op: &Ctmc, t_ms: f64, opts: &TransientOptions) -> Result<Transient, SolveError> {
     check_time(t_ms)?;
-    let n = op.dim();
+    let n = op.num_states();
     let lambda = op.max_exit_rate();
     let lt = lambda * t_ms;
     if lt == 0.0 {
@@ -150,14 +142,8 @@ fn check_time(t_ms: f64) -> Result<(), SolveError> {
 /// One uniformization step `v ← v P = v + (v Q)/Λ` through the sharded
 /// gather product, with `qv` as scratch. If the product unwinds (a
 /// failed spill read-back), `v` is untouched: only `qv` was written.
-fn uniformization_step<L: LinOp>(
-    op: &L,
-    v: &mut [f64],
-    qv: &mut [f64],
-    lambda: f64,
-    threads: usize,
-) {
-    op.apply_transposed(v, qv, threads);
+fn uniformization_step(op: &Ctmc, v: &mut [f64], qv: &mut [f64], lambda: f64, threads: usize) {
+    op.vec_mul(v, qv, threads);
     for (x, &q) in v.iter_mut().zip(qv.iter()) {
         *x += q / lambda;
     }
@@ -227,9 +213,9 @@ impl AbsorbedMass {
     /// [`SolveError::InvalidTime`] and [`SolveError::TruncationTooLong`]
     /// as for [`transient()`]; a spill read-back failure unwinds out of
     /// the product (callers run this under `catch_spill`).
-    pub(crate) fn cdf<L: LinOp>(
+    pub(crate) fn cdf(
         &mut self,
-        op: &L,
+        op: &Ctmc,
         goal: &[bool],
         t_ms: f64,
         opts: &TransientOptions,
@@ -246,20 +232,13 @@ impl AbsorbedMass {
             .arg("terms", terms)
             .arg("reused_terms", terms.min(cached))
             .arg("new_terms", terms.saturating_sub(cached))
-            .arg("states", op.dim());
+            .arg("states", op.num_states());
         self.extend(op, goal, terms, lambda, opts.threads);
         Ok(weights.iter().zip(&self.mass).map(|(w, a)| w * a).sum())
     }
 
     /// Grows the sequence to at least `terms` entries.
-    fn extend<L: LinOp>(
-        &mut self,
-        op: &L,
-        goal: &[bool],
-        terms: usize,
-        lambda: f64,
-        threads: usize,
-    ) {
+    fn extend(&mut self, op: &Ctmc, goal: &[bool], terms: usize, lambda: f64, threads: usize) {
         if self.mass.is_empty() {
             self.v = op.initial().to_vec();
             self.qv = vec![0.0; self.v.len()];

@@ -2,6 +2,9 @@
 //! generated Markovian models: structural invariants that must hold
 //! regardless of topology, rates, or evaluation times.
 
+use std::sync::OnceLock;
+
+use ct_consensus_repro::models::{build_model, SanParams};
 use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
 use ct_consensus_repro::solve::{
     steady_state, transient, Ctmc, IterOptions, ReachOptions, SolverBackend, StateSpace,
@@ -72,7 +75,7 @@ proptest! {
         let sol = steady_state(&ctmc, &IterOptions::default()).expect("irreducible");
         prop_assert!((sol.probs.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         let mut residual = vec![0.0; n];
-        ctmc.vec_mul(&sol.probs, &mut residual);
+        ctmc.vec_mul(&sol.probs, &mut residual, 1);
         for (s, &r) in residual.iter().enumerate() {
             prop_assert!(r.abs() < 1e-9, "(πQ)[{s}] = {r}");
         }
@@ -301,5 +304,108 @@ proptest! {
             prop_assert_eq!(bits(r1), bits(rn));
             prop_assert_eq!(bits(d1), bits(dn));
         }
+    }
+}
+
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// The consensus generators the sharded products are pinned on: the
+/// paper's real (phase-type) parameters at n = 2 and the exponential
+/// crash model at n = 3, each under expansion orders 1 and 2.
+fn consensus_fixtures() -> &'static [(String, Ctmc)] {
+    static FIXTURES: OnceLock<Vec<(String, Ctmc)>> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let mut out = Vec::new();
+        for ph_order in [1u32, 2] {
+            for (name, params) in [
+                ("paper_n2", SanParams::paper_baseline(2)),
+                (
+                    "exp_crash_n3",
+                    SanParams::exponential_baseline(3).with_crash(1),
+                ),
+            ] {
+                let model = build_model(&params);
+                let opts = ReachOptions {
+                    ph_order,
+                    max_states: params.recommended_max_states(ph_order),
+                    threads: 1,
+                    ..ReachOptions::default()
+                };
+                let (_, ctmc) =
+                    StateSpace::explore_ctmc(&model, &opts).expect("consensus model explores");
+                out.push((format!("{name}_ph{ph_order}"), ctmc));
+            }
+        }
+        out
+    })
+}
+
+/// A reproducible dense vector with entries in `(lo, hi)`: SplitMix64
+/// expanded from a sampled seed, so each case draws a fresh vector
+/// without the strategy needing to know the fixture's dimension.
+fn dense_vector(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<f64> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            let unit = ((z ^ (z >> 31)) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+            lo + (hi - lo) * unit
+        })
+        .collect()
+}
+
+/// Runs `product` at every thread count and asserts each result is
+/// bit-identical to the single-thread one.
+fn assert_thread_invariant(
+    label: &str,
+    n: usize,
+    product: impl Fn(&mut [f64], usize),
+) -> Result<(), TestCaseError> {
+    let mut base = vec![0.0; n];
+    product(&mut base, 1);
+    for &threads in &THREAD_COUNTS[1..] {
+        let mut y = vec![0.0; n];
+        product(&mut y, threads);
+        for (i, (a, b)) in base.iter().zip(&y).enumerate() {
+            prop_assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{}[{}] at {} threads: {} vs {}",
+                label,
+                i,
+                threads,
+                b,
+                a
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// The forward flow product `Q v` on the consensus generators is
+    /// bit-identical at 1, 2, 4 and 8 SpMV threads.
+    #[test]
+    fn consensus_flow_mul_is_thread_invariant(fix_idx in 0usize..4, seed in 0u64..u64::MAX) {
+        let (label, q) = &consensus_fixtures()[fix_idx];
+        let n = q.num_states();
+        let v = dense_vector(seed, n, 0.05, 5.0);
+        assert_thread_invariant(label, n, |out, threads| q.flow_mul(&v, out, threads))?;
+    }
+
+    /// The row-vector product `x Q` (the solver-side product, gathered
+    /// over the incoming view) on the consensus generators is
+    /// bit-identical at 1, 2, 4 and 8 SpMV threads.
+    #[test]
+    fn consensus_vec_mul_is_thread_invariant(fix_idx in 0usize..4, seed in 0u64..u64::MAX) {
+        let (label, q) = &consensus_fixtures()[fix_idx];
+        let n = q.num_states();
+        let x = dense_vector(seed, n, 0.05, 5.0);
+        assert_thread_invariant(label, n, |out, threads| q.vec_mul(&x, out, threads))?;
     }
 }
