@@ -214,6 +214,7 @@ fn concurrent_intern() -> Vec<BenchResult> {
             // The first-passage space of the latency workflow — the same
             // exploration `repro analytic` and the CI scalability gate run.
             let decided = decided_place_ids(&model, params.n);
+            let goal = |m: &Marking| decided.iter().any(|&d| m.get(d) > 0);
             for t in threads {
                 let opts = ReachOptions {
                     ph_order,
@@ -227,10 +228,7 @@ fn concurrent_intern() -> Vec<BenchResult> {
                 for _ in 0..repeats {
                     alloc_counter::reset_peak();
                     let start = Instant::now();
-                    let ss = StateSpace::explore_absorbing(&model, &opts, |m| {
-                        decided.iter().any(|&d| m.get(d) > 0)
-                    })
-                    .unwrap();
+                    let ss = StateSpace::explore(&model, &opts, Some(&goal)).unwrap();
                     states = black_box(ss.len());
                     best = best.min(start.elapsed().as_nanos() as f64);
                     // The workload is deterministic, so min-of-N peaks
@@ -367,10 +365,8 @@ fn csr_matvec() -> Vec<BenchResult> {
     };
     let mut rows = Vec::new();
     alloc_counter::reset_peak();
-    let (ss, q) = StateSpace::explore_absorbing_ctmc(&model, &opts, |m| {
-        decided.iter().any(|&d| m.get(d) > 0)
-    })
-    .unwrap();
+    let goal = |m: &Marking| decided.iter().any(|&d| m.get(d) > 0);
+    let (ss, q) = StateSpace::explore_ctmc(&model, &opts, Some(&goal)).unwrap();
     let states = ss.len();
     drop(ss);
     let n = q.num_states();

@@ -974,7 +974,7 @@ fn run_point(
         Some(pair) => pair,
         None => {
             let _sp = ctsim_obs::span("campaign", "explore");
-            StateSpace::explore_absorbing_ctmc(&model, &reach, goal)
+            StateSpace::explore_ctmc(&model, &reach, Some(&goal))
                 .map_err(|e| fail("exploration", e))?
         }
     };
@@ -1020,7 +1020,7 @@ fn run_point(
     if opts.verify_cold {
         let _sp = ctsim_obs::span("campaign", "verify_cold");
         let cold_start = Instant::now();
-        let (_cold_ss, cold_ctmc) = StateSpace::explore_absorbing_ctmc(&model, &reach, goal)
+        let (_cold_ss, cold_ctmc) = StateSpace::explore_ctmc(&model, &reach, Some(&goal))
             .map_err(|e| fail("cold exploration", e))?;
         let cold_iter = IterOptions {
             warm_start: None,

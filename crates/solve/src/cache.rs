@@ -166,7 +166,7 @@ mod tests {
         assert_eq!((cache.hits(), cache.misses()), (0, 1));
 
         let m1 = chain_model(2.0);
-        let (ss, ctmc) = StateSpace::explore_ctmc(&m1, &ReachOptions::default()).unwrap();
+        let (ss, ctmc) = StateSpace::explore_ctmc(&m1, &ReachOptions::default(), None).unwrap();
         cache.put(
             key.clone(),
             CachedGraph {
@@ -188,7 +188,7 @@ mod tests {
         let mut ctmc = entry.ctmc;
         ctmc.rebuild_values(&ss).unwrap();
         let (fresh_ss, fresh_ctmc) =
-            StateSpace::explore_ctmc(&m2, &ReachOptions::default()).unwrap();
+            StateSpace::explore_ctmc(&m2, &ReachOptions::default(), None).unwrap();
         assert_eq!(
             ss.outgoing(0)[0].rate.to_bits(),
             fresh_ss.outgoing(0)[0].rate.to_bits()
@@ -210,7 +210,7 @@ mod tests {
     #[test]
     fn mismatched_model_is_rejected() {
         let m1 = chain_model(2.0);
-        let (ss, _) = StateSpace::explore_ctmc(&m1, &ReachOptions::default()).unwrap();
+        let (ss, _) = StateSpace::explore_ctmc(&m1, &ReachOptions::default(), None).unwrap();
         let parts = ss.into_parts();
         let mut b = SanBuilder::new("bigger");
         let p = b.place("p", 1);

@@ -341,11 +341,11 @@ impl CtmcAcc {
 impl Ctmc {
     /// Builds the generator matrix from a reachability graph.
     ///
-    /// Prefer `StateSpace::explore_ctmc` /
-    /// `StateSpace::explore_absorbing_ctmc` when the graph is being
-    /// explored anyway: they assemble the identical generator *during*
+    /// Prefer `StateSpace::explore_ctmc` when the graph is being
+    /// explored anyway: it assembles the identical generator *during*
     /// exploration (pipelined per BFS level) instead of in a second
-    /// pass over the transition arena.
+    /// pass over the transition arena. This stays as the post-hoc
+    /// reference the pipelined build is tested against.
     ///
     /// # Errors
     /// [`SolveError::NonMarkovian`] if any transition is driven by a
@@ -839,7 +839,7 @@ mod tests {
     #[test]
     fn birth_death_generator_matches_rates() {
         let m = birth_death(4.0, 0.5);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         assert_eq!(q.num_states(), 2);
         assert_eq!(q.num_rates(), 2);
@@ -853,7 +853,7 @@ mod tests {
     #[test]
     fn rows_of_q_sum_to_zero() {
         let m = birth_death(1.0, 3.0);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         for i in 0..q.num_states() {
             let row_sum: f64 = q.diag(i) + q.row(i).map(|(_, r)| r).sum::<f64>();
@@ -872,7 +872,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let err = Ctmc::from_state_space(&ss).unwrap_err();
         match err {
             SolveError::NonMarkovian { activity } => assert_eq!(activity, "det"),
@@ -890,7 +890,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(p, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         assert_eq!(q.num_states(), 1);
         assert_eq!(q.num_rates(), 0);
@@ -901,7 +901,7 @@ mod tests {
     #[test]
     fn vec_mul_matches_dense_product() {
         let m = birth_death(2.0, 1.0);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let x = [0.3, 0.7];
         let mut out = [0.0; 2];

@@ -28,8 +28,8 @@
 //!   by key, collapse equal keys, stream every overlapping visited run
 //!   once (two-pointer merge, counted in `ddd.merge_bytes`), and
 //!   assign fresh ids to the unmatched remainder in sorted-key order —
-//!   exactly the order `canonize_frontier` would have produced, so the
-//!   resulting CSR is byte-identical to the resident path's.
+//!   exactly the order the resident engine's level close sorts by, so
+//!   the resulting CSR is byte-identical to the resident engine's.
 //!
 //! The RAM high-water mark of this path is one frontier (keys +
 //! absorbing flags) plus the per-worker candidate sets and the sort
@@ -43,16 +43,16 @@ use crate::spill::SpillShared;
 use crate::SolveError;
 
 /// What the successor-expansion code needs from a deduplicator: turn a
-/// packed key into an id. The resident path's id is the canonical
-/// intern id; the external path's is a worker-local *candidate* index,
-/// rewritten to the canonical id at the level merge. Expansion is
-/// generic over this trait, so both explorations monomorphize the
-/// exact same firing/vanishing/phase code and differ only in where the
-/// id comes from — the heart of the byte-identical-CSR argument.
+/// packed key into an id. The resident engine's id is the provisional
+/// intern id; the external engine's is a worker-local *candidate*
+/// index, rewritten to the canonical id at the level merge. Expansion
+/// is generic over this trait, so both engines monomorphize the exact
+/// same firing/vanishing/phase code and differ only in where the id
+/// comes from — the heart of the byte-identical-CSR argument.
 pub(crate) trait DedupSink {
     /// Interns `key`, evaluating `absorbing` at most once on first
     /// sight. `Err(InternFull)` means the global state cap is hit
-    /// (resident path only — candidate sets are unbounded and enforce
+    /// (resident engine only — candidate sets are unbounded and enforce
     /// the cap at the level merge).
     fn intern_key(
         &mut self,
@@ -73,10 +73,10 @@ impl DedupSink for &Interner {
     }
 }
 
-/// A worker-local candidate set of the external-memory path: inserts
+/// A worker-local candidate set of the external-memory engine: inserts
 /// cannot fail, duplicates collapse per worker, and the returned index
 /// is local until [`resolve_level`] maps it to a canonical id.
-impl DedupSink for CandSet {
+impl DedupSink for &mut CandSet {
     fn intern_key(
         &mut self,
         key: &[u64],
@@ -202,7 +202,7 @@ pub(crate) struct Frontier {
 }
 
 impl Frontier {
-    fn new(words: usize) -> Self {
+    pub(crate) fn new(words: usize) -> Self {
         Self {
             words,
             keys: Vec::new(),
@@ -213,11 +213,6 @@ impl Frontier {
     /// Number of states in the level.
     pub(crate) fn len(&self) -> usize {
         self.absorbing.len()
-    }
-
-    /// Whether the level is empty — the BFS termination test.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.absorbing.is_empty()
     }
 
     /// The packed key of the level's `i`-th state.
@@ -293,7 +288,9 @@ impl VisitedRuns {
 }
 
 /// The outcome of one level merge: per-worker candidate → canonical-id
-/// maps, plus the next BFS level (the unmatched candidates).
+/// maps, plus the next BFS level (the unmatched candidates). The
+/// external engine hands it on to the emission with `frontier` swapped
+/// for the level just closed, whose rows the maps retarget.
 #[derive(Debug)]
 pub(crate) struct LevelResolution {
     /// `resolved[w][local]` is the canonical id of worker `w`'s
@@ -311,8 +308,8 @@ pub(crate) struct LevelResolution {
 /// Determinism: candidate membership and the match verdicts are model
 /// properties (the visited set after level `ℓ` is the same set the
 /// resident interner would hold), and id assignment is by sorted key —
-/// the same total order `canonize_frontier` sorts by — so the ids, and
-/// everything derived from them, are identical to the resident path.
+/// the same total order the resident engine sorts by — so the ids, and
+/// everything derived from them, are identical to the resident engine.
 pub(crate) fn resolve_level(
     workers: &[&CandSet],
     visited: &mut VisitedRuns,

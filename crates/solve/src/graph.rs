@@ -48,29 +48,31 @@
 //!
 //! # Concurrent exploration, streamed assembly
 //!
-//! Exploration fans out across [`ReachOptions::threads`] workers in a
-//! level-synchronous breadth-first sweep, but — unlike the former
-//! explore-then-sequentially-merge design — workers intern newly
-//! discovered states **directly** into a sharded lock-free state table
-//! (`intern::Interner`) while expanding: there is no serial merge phase left
-//! to cap the speedup.
+//! One driver (`StateSpace::explore_attempt`) runs every exploration: a
+//! level-synchronous breadth-first sweep fanned out across
+//! [`ReachOptions::threads`] workers. Only the duplicate test is
+//! pluggable (the `Dedup` engine). The resident engine has workers
+//! intern newly discovered states **directly** into a sharded lock-free
+//! state table (`intern::Interner`) while expanding, so no serial merge
+//! phase caps the speedup. The external engine (`crate::ddd`) collects
+//! per-worker candidates and resolves them against sorted on-disk runs
+//! at the level boundary.
 //!
 //! Transitions never touch the heap per state: each worker appends the
 //! rows it generates into its own chain of fixed-capacity segments
 //! (`WorkerChain`), and when a level finishes it is renumbered and
-//! **streamed** into the final flat arena (`arena::SegStore`)
-//! — and, through [`StateSpace::explore_ctmc`], straight into the CSR
-//! generator — *while the workers already expand the next level*. The
-//! former `Vec<Vec<Transition>>` representation (one heap allocation
-//! and ~40 bytes of `Vec` bookkeeping per state, plus a full
-//! post-exploration copy) is gone; assembly is a per-level permutation
-//! into contiguous storage. With [`ReachOptions::spill`] set, cold
-//! arena segments additionally page out to a temp file under a RAM
-//! budget, which is what lets spaces larger than memory explore.
+//! **streamed** into the final flat arena (`arena::SegStore`) — and,
+//! through [`StateSpace::explore_ctmc`], straight into the CSR
+//! generator — *while the workers already expand the next level*.
+//! Assembly is a per-level permutation into contiguous storage. With
+//! [`ReachOptions::spill`] set, cold arena segments additionally page
+//! out to a temp file under a RAM budget, which is what lets spaces
+//! larger than memory explore.
 //!
 //! The price of concurrent interning is that state ids become
 //! race-ordered ("provisional"); determinism is restored by a
-//! canonical renumbering applied level by level:
+//! canonical renumbering applied level by level (the external engine
+//! assigns the same canonical ids directly):
 //!
 //! 1. The reachable state *set*, every state's successor distribution,
 //!    and every state's BFS level (its distance from the initial
@@ -94,14 +96,14 @@
 //! guaranteed deterministic, not the identity of racing errors.)
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ctsim_san::{ActivityId, Marking, SanModel, Timing};
 use ctsim_stoch::{Dist, PhaseType};
 
 use crate::arena::{RowLoc, RowRef, SegStore};
 use crate::ctmc::{Ctmc, CtmcAcc};
-use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, VisitedRuns};
+use crate::ddd::{resolve_level, CandSet, DedupSink, Frontier, LevelResolution, VisitedRuns};
 use crate::intern::Interner;
 use crate::pack::StateLayout;
 use crate::spill::{DedupMode, SpillOptions, SpillRecord, SpillShared};
@@ -535,22 +537,6 @@ impl Scratch {
     }
 }
 
-/// One worker's persistent state: scratch buffers plus the chain of
-/// transition segments it appends rows to during the current level.
-struct WorkerState {
-    scratch: Scratch,
-    chain: WorkerChain,
-}
-
-impl WorkerState {
-    fn new(layout: &StateLayout) -> Self {
-        Self {
-            scratch: Scratch::new(layout),
-            chain: WorkerChain::default(),
-        }
-    }
-}
-
 /// Where one provisional state's transition run sits inside one
 /// worker's chain.
 #[derive(Clone, Copy)]
@@ -644,8 +630,7 @@ impl<'m, 'a> Explorer<'m, 'a> {
 
     /// Resolves the initial marking's vanishing chain (and phase
     /// entry) into the extended initial token vectors with their
-    /// probabilities — the pre-interning half of level 0, shared by
-    /// both exploration modes.
+    /// probabilities — the pre-interning half of level 0.
     fn initial_ext(&self) -> Result<Vec<(Vec<u32>, f64)>, Abort> {
         let init_marking = self
             .model
@@ -855,29 +840,12 @@ impl Explorer<'_, '_> {
     }
 
     /// Computes every outgoing transition of one tangible state into
-    /// `scratch.row`, interning newly discovered targets on the fly.
-    /// Targets carry provisional ids until the canonical renumbering.
-    fn successors_of(
-        &self,
-        interner: &Interner,
-        id: usize,
-        scratch: &mut Scratch,
-    ) -> Result<(), Abort> {
-        interner.read_state(id, &mut scratch.src_key);
-        let mut sink = interner;
-        self.successors_from_key(&mut sink, scratch)
-    }
-
-    /// [`Explorer::successors_of`] with the source's packed key already
-    /// in `scratch.src_key` and the deduplicator abstracted — the entry
-    /// point the external-memory exploration shares with the resident
-    /// one, so both monomorphize the exact same firing/vanishing/phase
-    /// code.
-    fn successors_from_key<S: DedupSink>(
-        &self,
-        sink: &mut S,
-        scratch: &mut Scratch,
-    ) -> Result<(), Abort> {
+    /// `scratch.row`, the source's packed key already in
+    /// `scratch.src_key`, interning the targets into `sink` on the fly
+    /// — the provisional intern id on the resident path, a worker-local
+    /// candidate index on the external-memory one. Both engines run
+    /// this exact firing/vanishing/phase code.
+    fn successors<S: DedupSink>(&self, sink: &mut S, scratch: &mut Scratch) -> Result<(), Abort> {
         self.layout.decode(&scratch.src_key, &mut scratch.ext);
         let ext = std::mem::take(&mut scratch.ext);
         let mut row = std::mem::take(&mut scratch.row);
@@ -971,49 +939,318 @@ impl Explorer<'_, '_> {
     }
 }
 
-/// One fully explored BFS level queued for emission: its provisional
-/// id range, every worker's transition chain, and the canonical visit
-/// order with the packed keys backing it.
-struct PendingLevel {
+/// One fully expanded BFS level queued for emission: its id range,
+/// every worker's transition chain, and what the dedup engine's level
+/// close left for the emission to read.
+struct PendingLevel<C> {
     lo: usize,
     hi: usize,
     chains: Vec<WorkerChain>,
-    /// Provisional ids of `lo..hi` sorted by packed key — the
-    /// canonical visit order.
+    closed: C,
+}
+
+/// The duplicate test of one exploration attempt — the only part of
+/// the BFS that differs between resident and external-memory dedup.
+/// [`StateSpace::explore_attempt`] drives either engine through the
+/// same level loop, emission pipeline and telemetry; an engine only
+/// says how a level's sources are read, which sink a worker interns
+/// into, how a level is closed, and how an emitted row maps its
+/// targets and its packed key.
+trait Dedup: Sync {
+    /// The `engine` arg of the `explore` span.
+    const NAME: &'static str;
+    /// One worker's private dedup state.
+    type Local: Send;
+    /// A closed level, as the emission reads it.
+    type Closed;
+
+    fn new_local(&self) -> Self::Local;
+
+    /// The sink a worker interns the successors it generates into.
+    fn sink<'s>(&'s self, local: &'s mut Self::Local) -> impl DedupSink + 's;
+
+    /// Number of states in the current (not yet expanded) level.
+    fn level_len(&self) -> usize;
+
+    /// Reads the packed key of the current level's state `id` into
+    /// `key`; `false` (key untouched) when the state is absorbing — it
+    /// is not expanded and its row stays empty.
+    fn source(&self, id: usize, key: &mut [u64]) -> bool;
+
+    /// Closes the level just expanded: the states the workers'
+    /// `locals` discovered become the current level, with ids from
+    /// `next_base`. Returns the closed level for the emission.
+    fn close_level(
+        &mut self,
+        locals: &mut [Self::Local],
+        next_base: usize,
+    ) -> Result<Self::Closed, Abort>;
+
+    /// Takes back an emitted level: its buffers may serve a later
+    /// close, or it is dropped right away.
+    fn retire(&self, _closed: Self::Closed) {}
+
+    /// The `i`-th state, canonical order, of the closed level whose
+    /// first id is `lo`: `(the id its chain run was pushed under, its
+    /// packed key, whether it is absorbing)`.
+    fn row<'c>(&'c self, closed: &'c Self::Closed, lo: usize, i: usize)
+        -> (usize, &'c [u64], bool);
+
+    /// The map from the targets worker `chain` wrote while expanding
+    /// the closed level to their canonical ids.
+    fn targets<'c>(&'c self, closed: &'c Self::Closed, chain: usize) -> &'c [u32];
+
+    /// Auto dedup: whether the attempt should restart in
+    /// external-memory mode.
+    fn outgrew_budget(&self, _spill: &SpillOptions) -> bool {
+        false
+    }
+
+    /// Ends the attempt: engine-specific telemetry, then the intern
+    /// arena when the engine keeps one that can back the packed states.
+    fn finish(self) -> Option<Interner>;
+}
+
+/// Resident dedup: workers intern straight into the shared lock-free
+/// [`Interner`], so ids are provisional (race-ordered); closing a
+/// level sorts its new ids by packed key and records their canonical
+/// ids — `lo + rank`, a BFS level occupies the same contiguous block
+/// in both numberings.
+struct Resident {
+    interner: Interner,
+    words: usize,
+    /// Provisional → canonical id of every state in a closed level.
+    canon: Vec<u32>,
+    /// The current level.
+    level: ResidentLevel,
+    /// An emitted level whose buffers the next close reuses.
+    spare: Mutex<ResidentLevel>,
+}
+
+/// One level of the resident engine: its provisional ids sorted by
+/// packed key — the canonical visit order — and the packed keys, read
+/// out of the intern arena once, `(id - lo) * words` each.
+#[derive(Default)]
+struct ResidentLevel {
     order: Vec<u32>,
-    /// Packed keys of ids `lo..hi`, `(id - lo) * words` each.
     keys: Vec<u64>,
 }
 
-/// One fully expanded BFS level of the external-memory exploration
-/// queued for emission: the level itself (keys already canonical), the
-/// worker chains whose rows carry worker-local candidate targets, and
-/// the per-worker candidate → canonical-id maps from the level merge.
-struct PendingDddLevel {
-    lo: usize,
-    hi: usize,
-    chains: Vec<WorkerChain>,
-    frontier: Frontier,
-    /// `resolved[w][local]`: canonical id of worker `w`'s candidate
-    /// `local` (see [`crate::ddd::LevelResolution`]).
-    resolved: Vec<Vec<u32>>,
-}
-
-/// One external-memory worker's persistent state: expansion scratch,
-/// the level's transition chain, and its candidate-successor set.
-struct DddWorker {
-    scratch: Scratch,
-    chain: WorkerChain,
-    cands: CandSet,
-}
-
-impl DddWorker {
-    fn new(layout: &StateLayout) -> Self {
+impl Resident {
+    fn new(words: usize, max_states: usize, workers: usize) -> Self {
         Self {
-            scratch: Scratch::new(layout),
-            chain: WorkerChain::default(),
-            cands: CandSet::new(layout.words()),
+            interner: Interner::new(words, max_states, workers),
+            words,
+            canon: Vec::new(),
+            level: ResidentLevel::default(),
+            spare: Mutex::default(),
         }
+    }
+}
+
+impl Dedup for Resident {
+    const NAME: &'static str = "resident";
+    type Local = ();
+    type Closed = ResidentLevel;
+
+    fn new_local(&self) {}
+
+    fn sink<'s>(&'s self, _: &'s mut ()) -> impl DedupSink + 's {
+        &self.interner
+    }
+
+    fn level_len(&self) -> usize {
+        self.level.order.len()
+    }
+
+    fn source(&self, id: usize, key: &mut [u64]) -> bool {
+        if self.interner.absorbing(id) {
+            return false;
+        }
+        self.interner.read_state(id, key);
+        true
+    }
+
+    fn close_level(&mut self, _: &mut [()], lo: usize) -> Result<ResidentLevel, Abort> {
+        // The states interned while the level was expanded are the
+        // next level: ids `lo..hi`.
+        let (words, hi) = (self.words, self.interner.len());
+        let spare = self.spare.get_mut().expect("spare level lock poisoned");
+        let ResidentLevel {
+            mut order,
+            mut keys,
+        } = std::mem::take(spare);
+        keys.clear();
+        keys.resize((hi - lo) * words, 0);
+        for id in lo..hi {
+            let at = (id - lo) * words;
+            self.interner.read_state(id, &mut keys[at..at + words]);
+        }
+        let key = |id: u32| {
+            let at = (id as usize - lo) * words;
+            &keys[at..at + words]
+        };
+        order.clear();
+        order.extend((lo..hi).map(|i| i as u32));
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        self.canon.resize(hi, 0);
+        for (rank, &prov) in order.iter().enumerate() {
+            self.canon[prov as usize] = (lo + rank) as u32;
+        }
+        Ok(std::mem::replace(
+            &mut self.level,
+            ResidentLevel { order, keys },
+        ))
+    }
+
+    fn retire(&self, closed: ResidentLevel) {
+        *self.spare.lock().expect("spare level lock poisoned") = closed;
+    }
+
+    fn row<'c>(
+        &'c self,
+        closed: &'c ResidentLevel,
+        lo: usize,
+        i: usize,
+    ) -> (usize, &'c [u64], bool) {
+        let prov = closed.order[i] as usize;
+        let at = (prov - lo) * self.words;
+        (
+            prov,
+            &closed.keys[at..at + self.words],
+            self.interner.absorbing(prov),
+        )
+    }
+
+    fn targets<'c>(&'c self, _: &'c ResidentLevel, _: usize) -> &'c [u32] {
+        &self.canon
+    }
+
+    /// When the intern table's estimated footprint (arena bytes + flag
+    /// byte per state, plus the hash-table slots) claims more than half
+    /// the spill budget. Checked only at level boundaries — membership
+    /// of a level is a model property, so the switch level (and the
+    /// restart) is deterministic for every thread count.
+    fn outgrew_budget(&self, spill: &SpillOptions) -> bool {
+        if spill.dedup != DedupMode::Auto {
+            return false;
+        }
+        let (_, slots) = self.interner.table_stats();
+        self.interner.len() * (self.words * 8 + 1) + slots * 8 > spill.budget_bytes / 2
+    }
+
+    fn finish(self) -> Option<Interner> {
+        if ctsim_obs::enabled() {
+            // Snapshot the intern table before its hash shards are
+            // dropped.
+            let (used, slots) = self.interner.table_stats();
+            let occ = if slots > 0 {
+                used as f64 / slots as f64
+            } else {
+                0.0
+            };
+            ctsim_obs::gauge_set("intern.occupancy", occ);
+            ctsim_obs::gauge_set("intern.used_slots", used as f64);
+            ctsim_obs::gauge_set("intern.table_slots", slots as f64);
+        }
+        Some(self.interner)
+    }
+}
+
+/// External-memory dedup ([`crate::ddd`]): each worker collects its
+/// level's successors in a private [`CandSet`], and closing a level
+/// merges them against the sorted on-disk visited runs, which assigns
+/// canonical ids directly. Exploration's RAM high-water mark is then
+/// proportional to the largest BFS level, not the state space.
+struct External {
+    words: usize,
+    max_states: usize,
+    visited: VisitedRuns,
+    /// The current level, canonical order, ids from `lo`.
+    frontier: Frontier,
+    lo: usize,
+}
+
+impl External {
+    fn new(words: usize, spill: Arc<SpillShared>, max_states: usize) -> Self {
+        Self {
+            words,
+            max_states,
+            visited: VisitedRuns::new(words, spill),
+            frontier: Frontier::new(words),
+            lo: 0,
+        }
+    }
+}
+
+impl Dedup for External {
+    const NAME: &'static str = "external";
+    type Local = CandSet;
+    /// The closed level's frontier (not the next one) with the
+    /// per-worker candidate → canonical-id maps of its merge.
+    type Closed = LevelResolution;
+
+    fn new_local(&self) -> CandSet {
+        CandSet::new(self.words)
+    }
+
+    fn sink<'s>(&'s self, local: &'s mut CandSet) -> impl DedupSink + 's {
+        local
+    }
+
+    fn level_len(&self) -> usize {
+        self.frontier.len()
+    }
+
+    fn source(&self, id: usize, key: &mut [u64]) -> bool {
+        let i = id - self.lo;
+        if self.frontier.absorbing(i) {
+            return false;
+        }
+        key.copy_from_slice(self.frontier.key(i));
+        true
+    }
+
+    fn close_level(
+        &mut self,
+        locals: &mut [CandSet],
+        next_base: usize,
+    ) -> Result<LevelResolution, Abort> {
+        // The delayed duplicate detection: match every worker's
+        // candidates against the sorted visited runs; the unmatched
+        // remainder is the next level.
+        let cands: Vec<&CandSet> = locals.iter().collect();
+        let next = resolve_level(&cands, &mut self.visited, next_base, self.max_states)
+            .map_err(Abort::Solve)?;
+        for c in locals.iter_mut() {
+            c.clear();
+        }
+        self.lo = next_base;
+        Ok(LevelResolution {
+            resolved: next.resolved,
+            frontier: std::mem::replace(&mut self.frontier, next.frontier),
+        })
+    }
+
+    fn row<'c>(
+        &'c self,
+        closed: &'c LevelResolution,
+        lo: usize,
+        i: usize,
+    ) -> (usize, &'c [u64], bool) {
+        (lo + i, closed.frontier.key(i), closed.frontier.absorbing(i))
+    }
+
+    fn targets<'c>(&'c self, closed: &'c LevelResolution, chain: usize) -> &'c [u32] {
+        &closed.resolved[chain]
+    }
+
+    fn finish(self) -> Option<Interner> {
+        // Make sure the external-memory counters exist in the metrics
+        // document even when nothing was merged (tiny models).
+        ctsim_obs::counter_add("ddd.sorted_runs", 0);
+        ctsim_obs::counter_add("ddd.merge_bytes", 0);
+        None
     }
 }
 
@@ -1141,8 +1378,6 @@ struct Assembly<'m> {
     runs_buf: Vec<RunSlot>,
     /// Emptied worker chains awaiting reuse by a later level.
     chain_pool: Vec<WorkerChain>,
-    /// Spent `(keys, order)` level buffers awaiting reuse.
-    level_buf_pool: Vec<(Vec<u64>, Vec<u32>)>,
 }
 
 impl Assembly<'_> {
@@ -1178,12 +1413,11 @@ impl Assembly<'_> {
             merge_buf: Vec::new(),
             runs_buf: Vec::new(),
             chain_pool: Vec::new(),
-            level_buf_pool: Vec::new(),
         }
     }
 
-    /// Indexes one level's worker chains by provisional id into
-    /// `runs_buf` (absorbing states keep [`RunSlot::NONE`]).
+    /// Indexes one level's worker chains by source id into `runs_buf`
+    /// (absorbing states keep [`RunSlot::NONE`]).
     fn index_runs(&mut self, lo: usize, hi: usize, chains: &[WorkerChain]) {
         self.runs_buf.clear();
         self.runs_buf.resize(hi - lo, RunSlot::NONE);
@@ -1199,175 +1433,92 @@ impl Assembly<'_> {
         }
     }
 
-    /// Appends canonical state `src`'s retargeted, merged row (already
-    /// in `merge_buf`) to the generator sink and the flat transition
-    /// arena — the emission tail both exploration modes share.
-    fn push_state_row(&mut self, src: usize) -> Result<(), Abort> {
-        let model = self.model;
-        if let Some((acc, scratch)) = &mut self.ctmc {
-            acc.push_row(src, &self.merge_buf, scratch).map_err(|a| {
-                Abort::Solve(SolveError::NonMarkovian {
-                    activity: model.activity_name(a).to_string(),
-                })
-            })?;
-        }
-        let loc = self.trans.append_row(&self.merge_buf);
-        self.row_locs.push(loc);
-        self.total_trans += self.merge_buf.len();
-        Ok(())
-    }
-
-    /// Recycles an emitted level's chains instead of freeing them: the
-    /// next levels reuse the same capacity, keeping the resident
-    /// footprint flat instead of fragmenting the heap at peak.
-    fn recycle_chains(&mut self, chains: Vec<WorkerChain>) {
-        for mut chain in chains {
-            chain.reset();
-            self.chain_pool.push(chain);
-        }
-    }
-
     /// Streams one explored level into the canonical stores: states in
-    /// packed-key order, per-row retarget → sort → merge, and one CSR
+    /// canonical order, per-row retarget → sort → merge, and one CSR
     /// generator row per state when a CTMC is being built. In parallel
     /// explorations this runs *while the next level is still being
     /// expanded* — the explore → CSR handoff is pipelined, not serial.
-    fn emit_level(
+    /// Hands the closed level back to the engine, and recycles the
+    /// level's chains instead of freeing them: the next levels reuse
+    /// the same capacity, keeping the resident footprint flat instead
+    /// of fragmenting the heap at peak.
+    fn emit_level<E: Dedup>(
         &mut self,
-        interner: &Interner,
-        words: usize,
-        level: PendingLevel,
-        canon: &[u32],
+        engine: &E,
+        level: PendingLevel<E::Closed>,
     ) -> Result<(), Abort> {
         let PendingLevel {
             lo,
             hi,
             chains,
-            order,
-            keys,
+            closed,
         } = level;
         let _csr_span = ctsim_obs::span("csr", "csr_build_level")
             .arg("lo", lo)
             .arg("states", hi - lo);
         self.index_runs(lo, hi, &chains);
-        for &prov in &order {
-            let i = prov as usize - lo;
-            let src = canon[prov as usize] as usize;
+        let model = self.model;
+        for i in 0..hi - lo {
+            let src = lo + i;
             debug_assert_eq!(src, self.row_locs.len(), "levels emitted in order");
+            let (prov, key, absorbing) = engine.row(&closed, lo, i);
             match &mut self.packed {
                 Some(store) => {
-                    store.append_row(&keys[i * words..(i + 1) * words]);
+                    store.append_row(key);
                 }
-                None => self.perm.push(prov),
+                None => self.perm.push(prov as u32),
             }
-            self.absorbing.push(interner.absorbing(prov as usize));
+            self.absorbing.push(absorbing);
             self.merge_buf.clear();
-            let slot = self.runs_buf[i];
+            let slot = self.runs_buf[prov - lo];
             if slot.chain != u16::MAX {
                 let seg = &chains[slot.chain as usize].segs[slot.seg as usize];
                 self.merge_buf
                     .extend_from_slice(&seg[slot.off as usize..(slot.off + slot.len) as usize]);
-                for t in &mut self.merge_buf {
-                    t.target = canon[t.target] as usize;
-                }
-                merge_outgoing(&mut self.merge_buf);
-            }
-            self.push_state_row(src)?;
-        }
-        self.recycle_chains(chains);
-        self.level_buf_pool.push((keys, order));
-        Ok(())
-    }
-
-    /// [`Assembly::emit_level`] for the external-memory exploration.
-    /// The level's states are its [`Frontier`] entries — already in
-    /// canonical (sorted-key) order with ids `lo + i`, so there is no
-    /// visit permutation — and transition targets are *worker-local
-    /// candidate indices*, mapped to canonical ids through the owning
-    /// chain's `resolved` table from the level merge.
-    fn emit_level_ddd(&mut self, level: PendingDddLevel) -> Result<(), Abort> {
-        let PendingDddLevel {
-            lo,
-            hi,
-            chains,
-            frontier,
-            resolved,
-        } = level;
-        let _csr_span = ctsim_obs::span("csr", "csr_build_level")
-            .arg("lo", lo)
-            .arg("states", hi - lo);
-        debug_assert_eq!(frontier.len(), hi - lo);
-        self.index_runs(lo, hi, &chains);
-        for i in 0..(hi - lo) {
-            debug_assert_eq!(lo + i, self.row_locs.len(), "levels emitted in order");
-            self.packed
-                .as_mut()
-                .expect("external dedup always spills the packed states")
-                .append_row(frontier.key(i));
-            self.absorbing.push(frontier.absorbing(i));
-            self.merge_buf.clear();
-            let slot = self.runs_buf[i];
-            if slot.chain != u16::MAX {
-                let seg = &chains[slot.chain as usize].segs[slot.seg as usize];
-                self.merge_buf
-                    .extend_from_slice(&seg[slot.off as usize..(slot.off + slot.len) as usize]);
-                let map = &resolved[slot.chain as usize];
+                let map = engine.targets(&closed, slot.chain as usize);
                 for t in &mut self.merge_buf {
                     t.target = map[t.target] as usize;
                 }
                 merge_outgoing(&mut self.merge_buf);
             }
-            self.push_state_row(lo + i)?;
+            if let Some((acc, scratch)) = &mut self.ctmc {
+                acc.push_row(src, &self.merge_buf, scratch).map_err(|a| {
+                    Abort::Solve(SolveError::NonMarkovian {
+                        activity: model.activity_name(a).to_string(),
+                    })
+                })?;
+            }
+            let loc = self.trans.append_row(&self.merge_buf);
+            self.row_locs.push(loc);
+            self.total_trans += self.merge_buf.len();
         }
-        self.recycle_chains(chains);
+        for mut chain in chains {
+            chain.reset();
+            self.chain_pool.push(chain);
+        }
+        engine.retire(closed);
         Ok(())
     }
 }
 
-/// Sorts the freshly discovered frontier `lo..hi` by packed key and
-/// assigns canonical ids (`lo + rank` — a BFS level occupies the same
-/// contiguous block in both numberings). Returns the canonical visit
-/// order and the packed keys backing it, which the later emission
-/// reuses instead of re-reading the intern arena.
-fn canonize_frontier(
-    interner: &Interner,
-    words: usize,
-    lo: usize,
-    hi: usize,
-    canon: &mut Vec<u32>,
-    recycled: Option<(Vec<u64>, Vec<u32>)>,
-) -> (Vec<u32>, Vec<u64>) {
-    let (mut keys, mut order) = recycled.unwrap_or_default();
-    keys.clear();
-    keys.resize((hi - lo) * words, 0);
-    for id in lo..hi {
-        let at = (id - lo) * words;
-        interner.read_state(id, &mut keys[at..at + words]);
-    }
-    let key = |id: u32| {
-        let at = (id as usize - lo) * words;
-        &keys[at..at + words]
-    };
-    order.clear();
-    order.extend((lo..hi).map(|i| i as u32));
-    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
-    canon.resize(hi, 0);
-    for (rank, &prov) in order.iter().enumerate() {
-        canon[prov as usize] = (lo + rank) as u32;
-    }
-    (order, keys)
-}
-
-/// Unwraps the generator that [`StateSpace::explore_inner`] always
-/// builds when asked for one.
-fn with_ctmc<'m>((ss, ctmc): (StateSpace<'m>, Option<Ctmc>)) -> (StateSpace<'m>, Ctmc) {
-    (ss, ctmc.expect("exploration builds the CSR when asked"))
-}
-
 impl<'m> StateSpace<'m> {
-    /// Explores the full tangible state space (no absorbing predicate).
-    pub fn explore(model: &'m SanModel, opts: &ReachOptions) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, None, false).map(|(ss, _)| ss)
+    /// Explores the tangible state space of `model`.
+    ///
+    /// With a `goal`, every tangible marking for which it holds is
+    /// absorbing (no outgoing transitions). This is how first-passage
+    /// ("time until the predicate holds") quantities are solved: make
+    /// the goal states absorbing and read the absorbed probability
+    /// mass off the transient solution. The predicate is evaluated on
+    /// tangible markings only — the same instants at which the
+    /// simulator's `run_until` evaluates its stop predicate — so it
+    /// should be stable under instantaneous firings (e.g. a monotone
+    /// "place ever marked" test).
+    pub fn explore(
+        model: &'m SanModel,
+        opts: &ReachOptions,
+        goal: Option<&(dyn Fn(&Marking) -> bool + Sync)>,
+    ) -> Result<Self, SolveError> {
+        Self::explore_inner(model, opts, goal, false).map(|(ss, _)| ss)
     }
 
     /// [`StateSpace::explore`] with the CTMC generator built *in the
@@ -1380,37 +1531,10 @@ impl<'m> StateSpace<'m> {
     pub fn explore_ctmc(
         model: &'m SanModel,
         opts: &ReachOptions,
+        goal: Option<&(dyn Fn(&Marking) -> bool + Sync)>,
     ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, None, true).map(with_ctmc)
-    }
-
-    /// [`StateSpace::explore_absorbing`] with the CTMC generator built
-    /// in the same streaming pass — see [`StateSpace::explore_ctmc`].
-    pub fn explore_absorbing_ctmc(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: impl Fn(&Marking) -> bool + Sync,
-    ) -> Result<(Self, Ctmc), SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), true).map(with_ctmc)
-    }
-
-    /// Explores the state space, treating every tangible marking for
-    /// which `absorb` holds as absorbing (no outgoing transitions).
-    ///
-    /// This is how first-passage ("time until the predicate holds")
-    /// quantities are solved: make the goal states absorbing and read
-    /// the absorbed probability mass off the transient solution.
-    ///
-    /// The predicate is evaluated on tangible markings only — the same
-    /// instants at which the simulator's `run_until` evaluates its stop
-    /// predicate — so it should be stable under instantaneous firings
-    /// (e.g. a monotone "place ever marked" test).
-    pub fn explore_absorbing(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: impl Fn(&Marking) -> bool + Sync,
-    ) -> Result<Self, SolveError> {
-        Self::explore_inner(model, opts, Some(&absorb), false).map(|(ss, _)| ss)
+        let (ss, ctmc) = Self::explore_inner(model, opts, goal, true)?;
+        Ok((ss, ctmc.expect("exploration builds the CSR when asked")))
     }
 
     /// Explores, building the CSR generator in the same pass when
@@ -1421,32 +1545,31 @@ impl<'m> StateSpace<'m> {
         absorb: Option<&AbsorbFn<'_>>,
         want_ctmc: bool,
     ) -> Result<(Self, Option<Ctmc>), SolveError> {
-        // All spill read-back failures below (packed states, transition
-        // arena, paged CSR) surface typed through this boundary.
-        crate::catch_spill(|| Self::explore_inner_impl(model, opts, absorb, want_ctmc))
-    }
-
-    fn explore_inner_impl(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: Option<&AbsorbFn<'_>>,
-        want_ctmc: bool,
-    ) -> Result<(Self, Option<Ctmc>), SolveError> {
         let expansion = Expansion::build(model, opts.ph_order)?;
         let mut layout = StateLayout::new(model.num_places(), &expansion.phase_maxes());
+        let workers = crate::spmv::resolve_threads(opts.threads);
         // External-memory dedup from level 0 when forced; otherwise the
         // resident attempt may abort with `Ddd` mid-exploration (Auto
         // mode, intern table outgrew its budget share) and restart
         // here in external mode. Pack retries preserve the mode.
-        let mut force_ddd = opts
+        let mut external = opts
             .spill
             .as_ref()
             .is_some_and(|s| s.dedup == DedupMode::External);
-        loop {
-            let attempt = if force_ddd {
-                Self::explore_attempt_ddd(model, opts, absorb, &expansion, &layout, want_ctmc)
+        // All spill read-back failures below (packed states, transition
+        // arena, paged CSR) surface typed through this boundary.
+        crate::catch_spill(|| loop {
+            let explorer = Explorer::new(model, opts, &expansion, absorb, &layout);
+            let (words, max) = (layout.words(), opts.max_states);
+            let spill = opts.spill.as_ref().map(SpillShared::new).transpose()?;
+            let spill = spill.map(Arc::new);
+            let attempt = if external {
+                let s = spill.expect("external-memory dedup requires spill options");
+                let engine = External::new(words, s.clone(), max);
+                Self::explore_attempt(&explorer, engine, Some(s), workers, want_ctmc)
             } else {
-                Self::explore_attempt(model, opts, absorb, &expansion, &layout, want_ctmc)
+                let engine = Resident::new(words, max, workers);
+                Self::explore_attempt(&explorer, engine, spill, workers, want_ctmc)
             };
             match attempt {
                 Ok(pair) => return Ok(pair),
@@ -1458,76 +1581,76 @@ impl<'m> StateSpace<'m> {
                 Err(Abort::Pack) => {
                     layout = layout.widen().expect("32-bit place fields cannot overflow");
                 }
-                Err(Abort::Ddd) => force_ddd = true,
+                Err(Abort::Ddd) => external = true,
                 Err(Abort::Solve(e)) => return Err(e),
             }
-        }
+        })
     }
 
-    fn explore_attempt(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: Option<&AbsorbFn<'_>>,
-        expansion: &Expansion,
-        layout: &StateLayout,
+    /// One exploration attempt: the level-synchronous breadth-first
+    /// sweep, whichever [`Dedup`] engine tests for duplicates. Workers
+    /// claim chunks of the current level, expand each state into their
+    /// own transition chain and intern its targets into the engine's
+    /// sink; the engine then closes the level, which fixes the next
+    /// level's membership and canonical ids. The *previous* level is
+    /// renumbered and streamed into the canonical stores (and the CSR
+    /// generator) while the current one is expanded.
+    fn explore_attempt<E: Dedup>(
+        explorer: &Explorer<'m, '_>,
+        mut engine: E,
+        spill: Option<Arc<SpillShared>>,
+        workers: usize,
         want_ctmc: bool,
     ) -> Result<(Self, Option<Ctmc>), Abort> {
-        let base = model.num_places();
+        let (model, opts, layout) = (explorer.model, explorer.opts, explorer.layout);
         let words = layout.words();
-        let explorer = Explorer::new(model, opts, expansion, absorb, layout);
-        let workers = crate::spmv::resolve_threads(opts.threads);
-        let interner = Interner::new(words, opts.max_states, workers);
+        let mut locals: Vec<E::Local> = (0..workers).map(|_| engine.new_local()).collect();
 
-        // Resolve the initial marking's vanishing chain (and phase
-        // entry) into the initial tangible distribution.
-        let init_ext = explorer.initial_ext()?;
-        let mut key = vec![0u64; words];
+        // Level 0 is the initial marking's vanishing chain (and phase
+        // entry) resolved into the initial tangible distribution,
+        // interned by the first worker's sink and closed like any other
+        // level, so initial ids are canonical from the start.
         let mut initial: Vec<(usize, f64)> = Vec::new();
-        for (tokens, p) in init_ext {
-            let id = explorer.intern_tokens(&mut (&interner), &tokens, &mut key)?;
-            match initial.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, q)) => *q += p,
-                None => initial.push((id, p)),
-            }
-        }
-
-        let spill = match &opts.spill {
-            Some(s) => Some(Arc::new(SpillShared::new(s).map_err(Abort::Solve)?)),
-            None => None,
-        };
-        let mut asm = Assembly::new(model, words, want_ctmc, spill);
-        let mut canon: Vec<u32> = Vec::new();
-        let (mut cur_order, mut cur_keys) =
-            canonize_frontier(&interner, words, 0, interner.len(), &mut canon, None);
-        let mut pending: Option<PendingLevel> = None;
-        let mut worker_states: Vec<WorkerState> =
-            (0..workers).map(|_| WorkerState::new(layout)).collect();
-
-        // Level-synchronous breadth-first sweep. Ids are allocated by
-        // a global counter, so each level is exactly one contiguous
-        // provisional-id range: the next frontier needs no collection
-        // step. The *previous* level is renumbered and streamed into
-        // the canonical stores while the current one is expanded.
-        let mut lvl_lo = 0usize;
-        let mut level_idx = 0usize;
-        let _explore_span = ctsim_obs::span("explore", "explore").arg("workers", workers);
-        while lvl_lo < interner.len() {
-            // Auto dedup: when the intern table's estimated footprint
-            // (arena bytes + flag byte per state, plus the hash-table
-            // slots) claims more than half the spill budget, restart
-            // the whole exploration in external-memory mode. Checked
-            // only at level boundaries — membership of a level is a
-            // model property, so the switch level (and the restart) is
-            // deterministic for every thread count.
-            if let Some(s) = &opts.spill {
-                if s.dedup == DedupMode::Auto {
-                    let (_, slots) = interner.table_stats();
-                    if interner.len() * (words * 8 + 1) + slots * 8 > s.budget_bytes / 2 {
-                        return Err(Abort::Ddd);
-                    }
+        {
+            let mut sink = engine.sink(&mut locals[0]);
+            let mut key = vec![0u64; words];
+            for (tokens, p) in explorer.initial_ext()? {
+                let id = explorer.intern_tokens(&mut sink, &tokens, &mut key)?;
+                match initial.iter_mut().find(|(i, _)| *i == id) {
+                    Some((_, q)) => *q += p,
+                    None => initial.push((id, p)),
                 }
             }
-            let lvl_hi = interner.len();
+        }
+        let seeded = engine.close_level(&mut locals, 0)?;
+        let map = engine.targets(&seeded, 0);
+        for (id, _) in &mut initial {
+            *id = map[*id] as usize;
+        }
+        engine.retire(seeded);
+        initial.sort_unstable_by_key(|&(i, _)| i);
+
+        let mut asm = Assembly::new(model, words, want_ctmc, spill);
+        let mut pending: Option<PendingLevel<E::Closed>> = None;
+        // Each worker's scratch plus the chain of transition segments
+        // it appends rows to during the current level.
+        let mut worker_states: Vec<(Scratch, WorkerChain)> = (0..workers)
+            .map(|_| (Scratch::new(layout), WorkerChain::default()))
+            .collect();
+        let mut lvl_lo = 0usize;
+        let mut level_idx = 0usize;
+        let _explore_span = ctsim_obs::span("explore", "explore")
+            .arg("workers", workers)
+            .arg("engine", E::NAME);
+        while engine.level_len() > 0 {
+            if opts
+                .spill
+                .as_ref()
+                .is_some_and(|s| engine.outgrew_budget(s))
+            {
+                return Err(Abort::Ddd);
+            }
+            let lvl_hi = lvl_lo + engine.level_len();
             let lvl_t0 = ctsim_obs::now_us();
             // Spawning a thread costs more than expanding a handful of
             // states, so cap the worker count by the level size: small
@@ -1537,8 +1660,11 @@ impl<'m> StateSpace<'m> {
             let chunk = ((lvl_hi - lvl_lo) / (effective.max(1) * 16)).clamp(MIN_CLAIM, MAX_CLAIM);
             let cursor = AtomicUsize::new(lvl_lo);
             let failed = AtomicBool::new(false);
-            let worker_loop = |st: &mut WorkerState| -> Result<(), Abort> {
-                let WorkerState { scratch, chain } = st;
+            let engine_ref = &engine;
+            let worker_loop = |(scratch, chain): &mut (Scratch, WorkerChain),
+                               local: &mut E::Local|
+             -> Result<(), Abort> {
+                let mut sink = engine_ref.sink(local);
                 loop {
                     if failed.load(Ordering::Relaxed) {
                         break;
@@ -1548,10 +1674,10 @@ impl<'m> StateSpace<'m> {
                         break;
                     }
                     for id in start..(start + chunk).min(lvl_hi) {
-                        if interner.absorbing(id) {
-                            continue; // its row stays empty
+                        if !engine_ref.source(id, &mut scratch.src_key) {
+                            continue; // absorbing: its row stays empty
                         }
-                        if let Err(e) = explorer.successors_of(&interner, id, scratch) {
+                        if let Err(e) = explorer.successors(&mut sink, scratch) {
                             failed.store(true, Ordering::Relaxed);
                             return Err(e);
                         }
@@ -1560,30 +1686,28 @@ impl<'m> StateSpace<'m> {
                 }
                 Ok(())
             };
+            let p = pending.take();
             let mut outcomes: Vec<Result<(), Abort>> = Vec::new();
             if effective <= 1 {
                 // Sequential: emit the previous level first (freeing
                 // its chains before this level allocates new ones),
                 // then expand inline.
-                if let Some(p) = pending.take() {
-                    asm.emit_level(&interner, words, p, &canon)?;
+                if let Some(level) = p {
+                    asm.emit_level(engine_ref, level)?;
                 }
-                outcomes.push(worker_loop(&mut worker_states[0]));
+                outcomes.push(worker_loop(&mut worker_states[0], &mut locals[0]));
             } else {
-                let p = pending.take();
                 let emitted = std::thread::scope(|scope| {
                     let handles: Vec<_> = worker_states
                         .iter_mut()
+                        .zip(locals.iter_mut())
                         .take(effective)
-                        .map(|st| scope.spawn(|| worker_loop(st)))
+                        .map(|(st, local)| scope.spawn(|| worker_loop(st, local)))
                         .collect();
                     // Overlap: stream the previous level into the
                     // canonical stores (and the CSR generator) while
                     // the workers expand this one.
-                    let r = match p {
-                        Some(level) => asm.emit_level(&interner, words, level, &canon),
-                        None => Ok(()),
-                    };
+                    let r = p.map_or(Ok(()), |level| asm.emit_level(engine_ref, level));
                     if r.is_err() {
                         failed.store(true, Ordering::Relaxed);
                     }
@@ -1601,35 +1725,17 @@ impl<'m> StateSpace<'m> {
             // A packed-width overflow beats any other abort: the retry
             // re-examines the same reachable set, so a racing
             // cap/vanishing error (if genuine) recurs there.
-            let mut err: Option<Abort> = None;
-            for r in outcomes {
-                match r {
-                    Ok(()) => {}
-                    Err(Abort::Pack) => err = Some(Abort::Pack),
-                    Err(e) => {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                    }
-                }
-            }
-            if let Some(e) = err {
+            let err = outcomes.into_iter().filter_map(Result::err);
+            if let Some(e) = err.reduce(|a, b| if matches!(b, Abort::Pack) { b } else { a }) {
                 return Err(e);
             }
             // The states discovered during this level *are* the next
-            // BFS level: canonize them now so this level's targets all
-            // have canonical ids before its emission.
-            let (next_order, next_keys) = canonize_frontier(
-                &interner,
-                words,
-                lvl_hi,
-                interner.len(),
-                &mut canon,
-                asm.level_buf_pool.pop(),
-            );
+            // BFS level: closing it gives every target of this level a
+            // canonical id before its emission.
+            let closed = engine.close_level(&mut locals, lvl_hi)?;
             let chains: Vec<WorkerChain> = worker_states
                 .iter_mut()
-                .map(|st| std::mem::take(&mut st.chain))
+                .map(|(_, chain)| std::mem::take(chain))
                 .collect();
             if ctsim_obs::enabled() {
                 // One intern call per generated transition target, so
@@ -1639,7 +1745,7 @@ impl<'m> StateSpace<'m> {
                     .iter()
                     .map(|c| c.runs.iter().map(|r| r.len as usize).sum::<usize>())
                     .sum();
-                let new_states = interner.len() - lvl_hi;
+                let new_states = engine.level_len();
                 let dedup_hits = transitions.saturating_sub(new_states);
                 ctsim_obs::record_span(
                     "explore",
@@ -1661,9 +1767,9 @@ impl<'m> StateSpace<'m> {
             level_idx += 1;
             // Hand emptied chains from an emitted level back to the
             // workers for the next one.
-            for st in worker_states.iter_mut() {
+            for (_, chain) in worker_states.iter_mut() {
                 match asm.chain_pool.pop() {
-                    Some(rc) => st.chain = rc,
+                    Some(rc) => *chain = rc,
                     None => break,
                 }
             }
@@ -1671,46 +1777,32 @@ impl<'m> StateSpace<'m> {
                 lo: lvl_lo,
                 hi: lvl_hi,
                 chains,
-                order: cur_order,
-                keys: cur_keys,
+                closed,
             });
-            (cur_order, cur_keys) = (next_order, next_keys);
             lvl_lo = lvl_hi;
         }
         if let Some(p) = pending.take() {
-            asm.emit_level(&interner, words, p, &canon)?;
+            asm.emit_level(&engine, p)?;
         }
-        drop((cur_order, cur_keys)); // the empty frontier past the last level
-
+        // Release the engine's level buffers and renumbering before the
+        // stores are sealed: the exploration's memory peak.
+        let arena = engine.finish();
         asm.trans.finish();
-        if ctsim_obs::enabled() {
-            // Snapshot the intern table before its hash shards are
-            // dropped, and make sure the spill pager counters exist in
-            // the metrics document even for an all-resident run.
-            let (used, slots) = interner.table_stats();
-            let occ = if slots > 0 {
-                used as f64 / slots as f64
-            } else {
-                0.0
-            };
-            ctsim_obs::gauge_set("intern.occupancy", occ);
-            ctsim_obs::gauge_set("intern.used_slots", used as f64);
-            ctsim_obs::gauge_set("intern.table_slots", slots as f64);
-            ctsim_obs::gauge_set("explore.states_total", interner.len() as f64);
-            ctsim_obs::counter_add("spill.pager_hits", 0);
-            ctsim_obs::counter_add("spill.pager_misses", 0);
-            ctsim_obs::counter_add("spill.paged_out_bytes", 0);
+        ctsim_obs::gauge_set("explore.states_total", lvl_lo as f64);
+        // Make sure the spill pager counters exist in the metrics
+        // document even for an all-resident run.
+        for name in [
+            "spill.pager_hits",
+            "spill.pager_misses",
+            "spill.paged_out_bytes",
+        ] {
+            ctsim_obs::counter_add(name, 0);
         }
-        let mut init: Vec<(usize, f64)> = initial
-            .into_iter()
-            .map(|(id, p)| (canon[id] as usize, p))
-            .collect();
-        init.sort_unstable_by_key(|&(i, _)| i);
-        let ctmc = asm.ctmc.take().map(|(acc, _)| acc.finish(&init));
-        let packed = match asm.packed {
-            // Spill mode: the pageable copy is the backing; the intern
+        let ctmc = asm.ctmc.take().map(|(acc, _)| acc.finish(&initial));
+        let packed = match (asm.packed, arena) {
+            // Spill mode: the pageable copy is the backing; an intern
             // arena is freed wholesale right here.
-            Some(mut store) => {
+            (Some(mut store), _) => {
                 store.finish();
                 PackedStates::Store {
                     store,
@@ -1719,274 +1811,28 @@ impl<'m> StateSpace<'m> {
             }
             // Default: keep the arena (hash tables dropped) — the
             // states exist exactly once in memory.
-            None => {
-                let mut interner = interner;
+            (None, Some(mut interner)) => {
                 interner.drop_tables();
                 PackedStates::Interned {
                     interner,
                     perm: asm.perm,
                 }
             }
+            (None, None) => unreachable!("external dedup always spills the packed states"),
         };
         let ss = Self {
             model,
-            base,
-            phase_slots: expansion.num_slots(),
+            base: model.num_places(),
+            phase_slots: explorer.expansion.num_slots(),
             layout: layout.clone(),
             packed,
             trans: asm.trans,
             row_locs: asm.row_locs,
             total_trans: asm.total_trans,
-            initial: init,
+            initial,
             absorbing: asm.absorbing,
             ph_order: opts.ph_order,
-            shape: expansion.shape(model),
-        };
-        Ok((ss, ctmc))
-    }
-
-    /// [`StateSpace::explore_attempt`] in external-memory mode: states
-    /// are deduplicated by delayed duplicate detection over sorted
-    /// on-disk runs ([`crate::ddd`]) instead of the resident intern
-    /// table, so exploration's RAM high-water mark is proportional to
-    /// the largest BFS level, not the state space. The canonical
-    /// numbering — `(BFS level, packed key)` — is reproduced exactly
-    /// (ids are positional in the sorted runs), so states, transitions,
-    /// and the CSR generator are byte-identical to the resident path's.
-    fn explore_attempt_ddd(
-        model: &'m SanModel,
-        opts: &ReachOptions,
-        absorb: Option<&AbsorbFn<'_>>,
-        expansion: &Expansion,
-        layout: &StateLayout,
-        want_ctmc: bool,
-    ) -> Result<(Self, Option<Ctmc>), Abort> {
-        let base = model.num_places();
-        let words = layout.words();
-        let explorer = Explorer::new(model, opts, expansion, absorb, layout);
-        let workers = crate::spmv::resolve_threads(opts.threads);
-        let sopts = opts
-            .spill
-            .as_ref()
-            .expect("external-memory dedup requires spill options");
-        let spill = Arc::new(SpillShared::new(sopts).map_err(Abort::Solve)?);
-        let mut visited = VisitedRuns::new(words, spill.clone());
-
-        // Seed: the initial tangible distribution is level 0 —
-        // interned into one candidate set and resolved immediately, so
-        // initial ids are canonical from the start.
-        let init_ext = explorer.initial_ext()?;
-        let mut seed = CandSet::new(words);
-        let mut key = vec![0u64; words];
-        let mut init_local: Vec<(usize, f64)> = Vec::new();
-        for (tokens, p) in init_ext {
-            let id = explorer.intern_tokens(&mut seed, &tokens, &mut key)?;
-            match init_local.iter_mut().find(|(i, _)| *i == id) {
-                Some((_, q)) => *q += p,
-                None => init_local.push((id, p)),
-            }
-        }
-        let r0 = resolve_level(&[&seed], &mut visited, 0, opts.max_states).map_err(Abort::Solve)?;
-        let mut init: Vec<(usize, f64)> = init_local
-            .into_iter()
-            .map(|(i, p)| (r0.resolved[0][i] as usize, p))
-            .collect();
-        init.sort_unstable_by_key(|&(i, _)| i);
-        let mut frontier = r0.frontier;
-        drop(seed);
-
-        let mut asm = Assembly::new(model, words, want_ctmc, Some(spill));
-        let mut pending: Option<PendingDddLevel> = None;
-        let mut worker_states: Vec<DddWorker> =
-            (0..workers).map(|_| DddWorker::new(layout)).collect();
-
-        // The same level-synchronous sweep as the resident path, with
-        // the duplicate test delayed to the level boundary: workers
-        // expand the frontier into worker-local candidate sets and
-        // per-worker chains (targets are candidate indices), then the
-        // merge against the on-disk visited runs assigns canonical ids
-        // and yields the next frontier. The *previous* level is
-        // emitted while the current one is expanded, like the resident
-        // pipeline.
-        let mut lvl_lo = 0usize;
-        let mut level_idx = 0usize;
-        let _explore_span = ctsim_obs::span("explore", "explore_ddd").arg("workers", workers);
-        while !frontier.is_empty() {
-            let lvl_hi = lvl_lo + frontier.len();
-            let lvl_t0 = ctsim_obs::now_us();
-            let effective = workers.min(frontier.len() / PARALLEL_THRESHOLD);
-            let chunk = (frontier.len() / (effective.max(1) * 16)).clamp(MIN_CLAIM, MAX_CLAIM);
-            let cursor = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let frontier_ref = &frontier;
-            let worker_loop = |st: &mut DddWorker| -> Result<(), Abort> {
-                let DddWorker {
-                    scratch,
-                    chain,
-                    cands,
-                } = st;
-                loop {
-                    if failed.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= frontier_ref.len() {
-                        break;
-                    }
-                    for i in start..(start + chunk).min(frontier_ref.len()) {
-                        if frontier_ref.absorbing(i) {
-                            continue; // its row stays empty
-                        }
-                        scratch.src_key.copy_from_slice(frontier_ref.key(i));
-                        if let Err(e) = explorer.successors_from_key(cands, scratch) {
-                            failed.store(true, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                        chain.push_row(lvl_lo + i, &scratch.row);
-                    }
-                }
-                Ok(())
-            };
-            let mut outcomes: Vec<Result<(), Abort>> = Vec::new();
-            if effective <= 1 {
-                if let Some(p) = pending.take() {
-                    asm.emit_level_ddd(p)?;
-                }
-                outcomes.push(worker_loop(&mut worker_states[0]));
-            } else {
-                let p = pending.take();
-                let emitted = std::thread::scope(|scope| {
-                    let handles: Vec<_> = worker_states
-                        .iter_mut()
-                        .take(effective)
-                        .map(|st| scope.spawn(|| worker_loop(st)))
-                        .collect();
-                    let r = match p {
-                        Some(level) => asm.emit_level_ddd(level),
-                        None => Ok(()),
-                    };
-                    if r.is_err() {
-                        failed.store(true, Ordering::Relaxed);
-                    }
-                    for h in handles {
-                        outcomes.push(h.join().unwrap_or_else(|payload| {
-                            // Preserve a typed spill-read payload
-                            // for the catch_spill boundary.
-                            std::panic::resume_unwind(payload)
-                        }));
-                    }
-                    r
-                });
-                outcomes.push(emitted);
-            }
-            let mut err: Option<Abort> = None;
-            for r in outcomes {
-                match r {
-                    Ok(()) => {}
-                    Err(Abort::Pack) => err = Some(Abort::Pack),
-                    Err(e) => {
-                        if err.is_none() {
-                            err = Some(e);
-                        }
-                    }
-                }
-            }
-            if let Some(e) = err {
-                return Err(e);
-            }
-            // The delayed duplicate detection: match every worker's
-            // candidates against the sorted visited runs, canonical
-            // ids for the unmatched remainder — the next level.
-            let next = {
-                let cand_refs: Vec<&CandSet> = worker_states.iter().map(|st| &st.cands).collect();
-                resolve_level(&cand_refs, &mut visited, lvl_hi, opts.max_states)
-                    .map_err(Abort::Solve)?
-            };
-            let chains: Vec<WorkerChain> = worker_states
-                .iter_mut()
-                .map(|st| std::mem::take(&mut st.chain))
-                .collect();
-            if ctsim_obs::enabled() {
-                let transitions: usize = chains
-                    .iter()
-                    .map(|c| c.runs.iter().map(|r| r.len as usize).sum::<usize>())
-                    .sum();
-                let new_states = next.frontier.len();
-                ctsim_obs::record_span(
-                    "explore",
-                    "bfs_level",
-                    lvl_t0,
-                    vec![
-                        ("level", level_idx.into()),
-                        ("states", frontier.len().into()),
-                        ("new_states", new_states.into()),
-                        ("transitions", transitions.into()),
-                        ("dedup_hits", transitions.saturating_sub(new_states).into()),
-                        ("workers", effective.max(1).into()),
-                    ],
-                );
-                ctsim_obs::counter_add("explore.levels", 1);
-                ctsim_obs::counter_add("explore.transitions", transitions as u64);
-            }
-            level_idx += 1;
-            for st in worker_states.iter_mut() {
-                st.cands.clear();
-            }
-            // Hand emptied chains from an emitted level back to the
-            // workers for the next one.
-            for st in worker_states.iter_mut() {
-                match asm.chain_pool.pop() {
-                    Some(rc) => st.chain = rc,
-                    None => break,
-                }
-            }
-            pending = Some(PendingDddLevel {
-                lo: lvl_lo,
-                hi: lvl_hi,
-                chains,
-                frontier: std::mem::replace(&mut frontier, next.frontier),
-                resolved: next.resolved,
-            });
-            lvl_lo = lvl_hi;
-        }
-        if let Some(p) = pending.take() {
-            asm.emit_level_ddd(p)?;
-        }
-
-        asm.trans.finish();
-        if ctsim_obs::enabled() {
-            ctsim_obs::gauge_set("explore.states_total", lvl_lo as f64);
-            // Make sure the external-memory and pager counters exist
-            // in the metrics document even when nothing was merged or
-            // paged (tiny models under a generous budget).
-            ctsim_obs::counter_add("ddd.sorted_runs", 0);
-            ctsim_obs::counter_add("ddd.merge_bytes", 0);
-            ctsim_obs::counter_add("spill.pager_hits", 0);
-            ctsim_obs::counter_add("spill.pager_misses", 0);
-            ctsim_obs::counter_add("spill.paged_out_bytes", 0);
-        }
-        let ctmc = asm.ctmc.take().map(|(acc, _)| acc.finish(&init));
-        let mut store = asm
-            .packed
-            .expect("external dedup always spills the packed states");
-        store.finish();
-        let packed = PackedStates::Store {
-            store,
-            per_seg: asm.states_per_seg,
-        };
-        let ss = Self {
-            model,
-            base,
-            phase_slots: expansion.num_slots(),
-            layout: layout.clone(),
-            packed,
-            trans: asm.trans,
-            row_locs: asm.row_locs,
-            total_trans: asm.total_trans,
-            initial: init,
-            absorbing: asm.absorbing,
-            ph_order: opts.ph_order,
-            shape: expansion.shape(model),
+            shape: explorer.expansion.shape(model),
         };
         Ok((ss, ctmc))
     }
@@ -2040,9 +1886,9 @@ impl<'m> StateSpace<'m> {
                 off: ((i % per_seg) * w) as u32,
                 len: w as u32,
             }),
-            PackedStates::Interned { interner, perm } => {
+            PackedStates::Interned { .. } => {
                 let mut buf = vec![0u64; w];
-                interner.read_state(perm[i] as usize, &mut buf);
+                self.packed.read_into(w, i, &mut buf);
                 RowRef::owned(buf)
             }
         }
@@ -2339,7 +2185,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         assert_eq!(ss.len(), 2);
         assert_eq!(ss.initial, vec![(0, 1.0)]);
         assert_eq!(ss.outgoing(0).len(), 1);
@@ -2368,7 +2214,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         assert_eq!(ss.len(), 2, "vanishing marking must not appear");
         let q_state = ss.tokens(ss.outgoing(0)[0].target);
         assert_eq!(q_state[q.index()], 1);
@@ -2395,7 +2241,7 @@ mod tests {
                 .case(Case::with_prob(0.7).output(r, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         assert_eq!(ss.len(), 3);
         let mut probs: Vec<f64> = ss.outgoing(0).iter().map(|t| t.prob).collect();
         probs.sort_by(f64::total_cmp);
@@ -2438,7 +2284,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(wb, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         // Initial + two tangible outcomes {hi,wa} and {hi,wb}.
         assert_eq!(ss.len(), 3);
         for t in ss.outgoing(0).iter() {
@@ -2470,7 +2316,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(p, 1)),
         );
         let m = b.build().unwrap();
-        let err = StateSpace::explore(&m, &ReachOptions::default()).unwrap_err();
+        let err = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap_err();
         assert!(matches!(err, SolveError::VanishingLoop { .. }), "{err}");
     }
 
@@ -2491,7 +2337,7 @@ mod tests {
             max_states: 64,
             ..ReachOptions::default()
         };
-        let err = StateSpace::explore(&m, &opts).unwrap_err();
+        let err = StateSpace::explore(&m, &opts, None).unwrap_err();
         assert!(matches!(err, SolveError::StateSpaceTooLarge { limit: 64 }));
     }
 
@@ -2511,7 +2357,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 300)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         assert_eq!(ss.len(), 2);
         assert_eq!(ss.tokens(1), vec![0, 300]);
     }
@@ -2528,9 +2374,8 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss =
-            StateSpace::explore_absorbing(&m, &ReachOptions::default(), move |mk| mk.get(q) >= 1)
-                .unwrap();
+        let goal = move |mk: &Marking| mk.get(q) >= 1;
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), Some(&goal)).unwrap();
         // Without absorption there would be 3 states; q>=1 stops at 2.
         assert_eq!(ss.len(), 2);
         let a = ss.outgoing(0)[0].target;
@@ -2556,7 +2401,7 @@ mod tests {
                 ph_order: order,
                 ..ReachOptions::default()
             };
-            let ss = StateSpace::explore(&m, &opts).unwrap();
+            let ss = StateSpace::explore(&m, &opts, None).unwrap();
             assert_eq!(ss.phase_slots, 1);
             assert_eq!(
                 ss.len(),
@@ -2594,7 +2439,7 @@ mod tests {
             ph_order: 4,
             ..ReachOptions::default()
         };
-        let ss = StateSpace::explore(&m, &opts).unwrap();
+        let ss = StateSpace::explore(&m, &opts, None).unwrap();
         // cv² ≈ 0.43 → mixed Erlang(2)/Erlang(3): two initial states.
         assert_eq!(ss.initial.len(), 2, "branch split at activation");
         let total: f64 = ss.initial.iter().map(|&(_, p)| p).sum();
@@ -2620,7 +2465,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         assert!(ss.outgoing(0)[0].rate.is_nan());
     }
 
@@ -2648,7 +2493,8 @@ mod tests {
             ph_order: 4,
             ..ReachOptions::default()
         };
-        let ss = StateSpace::explore_absorbing(&m, &opts, move |mk| mk.get(q) >= 1).unwrap();
+        let goal = move |mk: &Marking| mk.get(q) >= 1;
+        let ss = StateSpace::explore(&m, &opts, Some(&goal)).unwrap();
         let absorbed: Vec<usize> = (0..ss.len()).filter(|&s| ss.absorbing[s]).collect();
         assert_eq!(absorbed.len(), 1, "one canonical absorbing state");
         let a = absorbed[0];
@@ -2681,7 +2527,7 @@ mod tests {
             ph_order: 4,
             ..ReachOptions::default()
         };
-        let ss = StateSpace::explore(&m, &opts).unwrap();
+        let ss = StateSpace::explore(&m, &opts, None).unwrap();
         let det_slot = ss.num_places();
         for s in 0..ss.len() {
             let tokens = ss.tokens(s);
@@ -2726,7 +2572,7 @@ mod tests {
                 threads,
                 ..ReachOptions::default()
             };
-            StateSpace::explore(&m, &opts).unwrap()
+            StateSpace::explore(&m, &opts, None).unwrap()
         };
         let seq = explore(1);
         assert!(seq.len() > PARALLEL_THRESHOLD, "model too small to test");

@@ -522,7 +522,7 @@ mod tests {
     fn cycle_stationary_matches_holding_times() {
         let means = [1.0, 3.0, 6.0, 0.5];
         let m = cyclic(&means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let total: f64 = means.iter().sum();
         for threads in [1usize, 4] {
@@ -560,7 +560,7 @@ mod tests {
             );
         }
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let expect: f64 = stages.iter().sum();
         for threads in [1usize, 2] {
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn tiny_restart_dimension_still_converges() {
         let m = cyclic(&[1.0, 2.0, 4.0, 8.0, 16.0]);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let opts = IterOptions {
             restart: 1, // clamped up to MIN_RESTART

@@ -97,6 +97,12 @@
 //!
 //! # Concurrent exploration, compact states, streamed assembly
 //!
+//! Exploration has two entry points: [`StateSpace::explore`] (the
+//! graph) and [`StateSpace::explore_ctmc`] (the graph plus the CSR
+//! generator, built in the same pass); both take an optional absorbing
+//! goal predicate. One level-synchronous driver runs them, whichever
+//! dedup engine [`DedupMode`] picks.
+//!
 //! [`ReachOptions::threads`] fans the breadth-first exploration out
 //! over `std::thread` workers that intern newly discovered states
 //! **concurrently** into a sharded lock-free hash table (CAS claims on

@@ -143,7 +143,7 @@ impl<'m> AnalyticRun<'m> {
         opts: &ReachOptions,
         goal: impl Fn(&Marking) -> bool + Sync,
     ) -> Result<Self, SolveError> {
-        let (space, ctmc) = StateSpace::explore_absorbing_ctmc(model, opts, goal)?;
+        let (space, ctmc) = StateSpace::explore_ctmc(model, opts, Some(&goal))?;
         Ok(Self {
             space,
             ctmc,
@@ -252,7 +252,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(trust, 1)),
         );
         let model = b.build().unwrap();
-        let ss = StateSpace::explore(&model, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&model, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         let pi = steady_state(&ctmc, &IterOptions::default()).unwrap();
         let p_susp = expected_rate_reward(&ss, &pi.probs, |m| m.get(susp) as f64);

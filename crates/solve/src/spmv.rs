@@ -154,7 +154,7 @@ mod tests {
             max_states: levels as usize + 8,
             ..ReachOptions::default()
         };
-        let ss = StateSpace::explore(&m, &opts).unwrap();
+        let ss = StateSpace::explore(&m, &opts, None).unwrap();
         Ctmc::from_state_space(&ss).unwrap()
     }
 

@@ -614,7 +614,7 @@ mod tests {
     fn cycle_stationary_probabilities_follow_holding_times() {
         let means = [1.0, 3.0, 6.0];
         let m = cyclic(3, &means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let total: f64 = means.iter().sum();
         for backend in SolverBackend::ALL {
@@ -649,7 +649,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         for backend in SolverBackend::ALL {
             assert!(matches!(
@@ -679,7 +679,7 @@ mod tests {
             );
         }
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         for backend in SolverBackend::ALL {
             let sol =
@@ -696,7 +696,7 @@ mod tests {
     #[test]
     fn recurrent_chain_rejects_absorption_times() {
         let m = cyclic(3, &[1.0]);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         for backend in SolverBackend::ALL {
             assert!(matches!(
@@ -730,7 +730,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(done, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         // τ(s0) = 1/(a+b) + b/(a+b) · 1/c = 2/3 + (2/3)·4 = 10/3.
         for backend in SolverBackend::ALL {
@@ -750,7 +750,7 @@ mod tests {
     fn backends_agree_on_irregular_cycle() {
         let means = [0.3, 2.0, 0.7, 5.0, 1.1];
         let m = cyclic(5, &means);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         let reference = steady_state(&q, &IterOptions::default()).unwrap();
         for backend in [SolverBackend::Jacobi, SolverBackend::Krylov] {

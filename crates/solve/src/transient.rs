@@ -353,7 +353,7 @@ mod tests {
 
     fn solve_two_state(t: f64, up_mean: f64, down_mean: f64) -> Vec<f64> {
         let m = two_state(up_mean, down_mean);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         transient(&q, t, &TransientOptions::default())
             .unwrap()
@@ -414,7 +414,7 @@ mod tests {
     #[test]
     fn invalid_times_are_rejected() {
         let m = two_state(1.0, 1.0);
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let q = Ctmc::from_state_space(&ss).unwrap();
         for t in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
             let err = transient(&q, t, &TransientOptions::default()).unwrap_err();
@@ -437,7 +437,7 @@ mod tests {
                 .case(Case::with_prob(1.0).output(q, 1)),
         );
         let m = b.build().unwrap();
-        let ss = StateSpace::explore(&m, &ReachOptions::default()).unwrap();
+        let ss = StateSpace::explore(&m, &ReachOptions::default(), None).unwrap();
         let ctmc = Ctmc::from_state_space(&ss).unwrap();
         // P(absorbed by t) = 1 - e^{-t/2}.
         for t in [0.5, 2.0, 8.0] {

@@ -47,7 +47,7 @@ fn ctmc(model: &SanModel, spill: Option<SpillOptions>) -> Ctmc {
         spill,
         ..ReachOptions::default()
     };
-    let (_, q) = StateSpace::explore_ctmc(model, &opts).unwrap();
+    let (_, q) = StateSpace::explore_ctmc(model, &opts, None).unwrap();
     q
 }
 

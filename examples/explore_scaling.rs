@@ -14,6 +14,7 @@
 use std::time::Instant;
 
 use ct_consensus_repro::models::{build_model, decided_place_ids, SanParams};
+use ct_consensus_repro::san::Marking;
 use ct_consensus_repro::solve::{AnalyticRun, IterOptions, ReachOptions, SpillOptions, StateSpace};
 use ctsim_bench::alloc_counter::{self, CountingAlloc};
 use ctsim_experiments::{parse_size, peak_rss_mb};
@@ -55,8 +56,7 @@ fn main() {
     let start = Instant::now();
     let decided = decided_place_ids(&model, n);
     if solve {
-        let goal =
-            move |m: &ct_consensus_repro::san::Marking| decided.iter().any(|&d| m.get(d) > 0);
+        let goal = move |m: &Marking| decided.iter().any(|&d| m.get(d) > 0);
         let run = AnalyticRun::first_passage(&model, &opts, goal).unwrap();
         let explored = start.elapsed();
         let out = run.mean(&IterOptions::default()).unwrap();
@@ -73,14 +73,10 @@ fn main() {
         return;
     }
     let repeats: usize = args.get(4).map_or(1, |s| s.parse().unwrap());
-    let explore_once = || {
-        if first_passage {
-            StateSpace::explore_absorbing(&model, &opts, |m| decided.iter().any(|&d| m.get(d) > 0))
-                .unwrap()
-        } else {
-            StateSpace::explore(&model, &opts).unwrap()
-        }
-    };
+    let goal = |m: &Marking| decided.iter().any(|&d| m.get(d) > 0);
+    let goal: Option<&(dyn Fn(&Marking) -> bool + Sync)> =
+        if first_passage { Some(&goal) } else { None };
+    let explore_once = || StateSpace::explore(&model, &opts, goal).unwrap();
     let mut best = f64::INFINITY;
     let mut ss = explore_once();
     best = best.min(start.elapsed().as_secs_f64());

@@ -96,7 +96,7 @@ proptest! {
         let spill = if spill == 0 { None } else { tiny_spill() };
 
         let (ss_a, ctmc_a) =
-            StateSpace::explore_ctmc(&model_a, &reach(threads, spill.clone())).expect("explore A");
+            StateSpace::explore_ctmc(&model_a, &reach(threads, spill.clone()), None).expect("explore A");
         let parts = ss_a.into_parts();
 
         let mut ss = StateSpace::from_parts(&model_b, parts).expect("same structure");
@@ -107,7 +107,7 @@ proptest! {
         // The reference: a fresh rates-B exploration (itself
         // thread/spill-invariant by the explore_streaming properties).
         let (fresh_ss, fresh_ctmc) =
-            StateSpace::explore_ctmc(&model_b, &reach(1, None)).expect("explore B");
+            StateSpace::explore_ctmc(&model_b, &reach(1, None), None).expect("explore B");
 
         prop_assert_eq!(ss.len(), fresh_ss.len());
         prop_assert_eq!(ss.num_transitions(), fresh_ss.num_transitions());
@@ -165,11 +165,11 @@ proptest! {
         };
 
         let (_ss_a, ctmc_a) =
-            StateSpace::explore_absorbing_ctmc(&model_a, &opts, absorb_a).expect("explore A");
+            StateSpace::explore_ctmc(&model_a, &opts, Some(&absorb_a)).expect("explore A");
         let prev = mean_time_to_absorption(&ctmc_a, &iter).expect("solve A");
 
         let (_ss_b, ctmc_b) =
-            StateSpace::explore_absorbing_ctmc(&model_b, &opts, absorb_b).expect("explore B");
+            StateSpace::explore_ctmc(&model_b, &opts, Some(&absorb_b)).expect("explore B");
         let cold = mean_time_to_absorption(&ctmc_b, &iter).expect("cold solve B");
         let warm_iter = IterOptions {
             warm_start: Some(prev.per_state.clone()),
@@ -217,13 +217,13 @@ fn zigzag_access_on_cached_then_spilled_graph_is_fresh() {
     let model_b = lane_model(&scaled);
 
     let (ss_a, _ctmc) =
-        StateSpace::explore_ctmc(&model_a, &reach(4, tiny_spill())).expect("explore A");
+        StateSpace::explore_ctmc(&model_a, &reach(4, tiny_spill()), None).expect("explore A");
     let parts = ss_a.into_parts();
     let mut ss = StateSpace::from_parts(&model_b, parts).expect("same structure");
     ss.rebuild_rates().expect("rate-only rebuild under spill");
 
     let (fresh, _fresh_ctmc) =
-        StateSpace::explore_ctmc(&model_b, &reach(1, None)).expect("explore B");
+        StateSpace::explore_ctmc(&model_b, &reach(1, None), None).expect("explore B");
     assert_eq!(ss.len(), fresh.len());
     let n = ss.len();
 

@@ -1,11 +1,12 @@
 //! Determinism and equivalence properties of the streaming exploration
 //! pipeline: the canonical state numbering, the flat transition arena,
-//! and the CSR generator must be byte-identical for every thread count
-//! and every spill setting, and the pipelined `explore_ctmc` must
-//! produce exactly the generator a post-hoc `Ctmc::from_state_space`
-//! builds.
+//! and the CSR generator must be byte-identical for every thread count,
+//! spill setting, dedup engine and absorbing goal, `explore` and
+//! `explore_ctmc` must build the same graph, and the pipelined
+//! `explore_ctmc` must produce exactly the generator a post-hoc
+//! `Ctmc::from_state_space` builds.
 
-use ct_consensus_repro::san::{Activity, Case, SanBuilder, SanModel};
+use ct_consensus_repro::san::{Activity, Case, Marking, SanBuilder, SanModel};
 use ct_consensus_repro::solve::{
     AnalyticRun, Ctmc, DedupMode, IterOptions, ReachOptions, SolveError, SolverBackend,
     SpillOptions, StateSpace,
@@ -44,24 +45,44 @@ fn tiny_spill() -> SpillOptions {
     SpillOptions::with_budget(1 << 12)
 }
 
-fn explore_cfg(
-    model: &SanModel,
-    ph_order: u32,
-    threads: usize,
-    spill: Option<SpillOptions>,
-) -> (StateSpace<'_>, Ctmc) {
-    let opts = ReachOptions {
+type Goal<'a> = Option<&'a (dyn Fn(&Marking) -> bool + Sync)>;
+
+fn reach(ph_order: u32, threads: usize, spill: Option<SpillOptions>) -> ReachOptions {
+    ReachOptions {
         ph_order,
         threads,
         spill,
         ..ReachOptions::default()
-    };
-    StateSpace::explore_ctmc(model, &opts).expect("explore")
+    }
+}
+
+fn explore_goal<'m>(
+    model: &'m SanModel,
+    ph_order: u32,
+    threads: usize,
+    spill: Option<SpillOptions>,
+    goal: Goal<'_>,
+) -> (StateSpace<'m>, Ctmc) {
+    StateSpace::explore_ctmc(model, &reach(ph_order, threads, spill), goal).expect("explore")
 }
 
 fn assert_identical(a: &(StateSpace<'_>, Ctmc), b: &(StateSpace<'_>, Ctmc), what: &str) {
     let (ssa, qa) = a;
     let (ssb, qb) = b;
+    assert_same_graph(ssa, ssb, what);
+    // `csr_owned` materialises paged entries: under a tiny budget the
+    // CSR itself lives (partly) on disk.
+    let (rpa, ca, ra, da) = qa.csr_owned();
+    let (rpb, cb, rb, db) = qb.csr_owned();
+    assert_eq!(rpa, rpb, "{what}: row_ptr");
+    assert_eq!(ca, cb, "{what}: col");
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&ra), bits(&rb), "{what}: rates");
+    assert_eq!(bits(&da), bits(&db), "{what}: diag");
+    assert_eq!(qa.initial(), qb.initial(), "{what}: π(0)");
+}
+
+fn assert_same_graph(ssa: &StateSpace<'_>, ssb: &StateSpace<'_>, what: &str) {
     assert_eq!(ssa.packed_words(), ssb.packed_words(), "{what}: states");
     assert_eq!(ssa.initial, ssb.initial, "{what}: initial");
     assert_eq!(ssa.absorbing, ssb.absorbing, "{what}: absorbing");
@@ -77,16 +98,6 @@ fn assert_identical(a: &(StateSpace<'_>, Ctmc), b: &(StateSpace<'_>, Ctmc), what
             assert_eq!(x.rate.to_bits(), y.rate.to_bits(), "{what}: row {s}");
         }
     }
-    // `csr_owned` materialises paged entries: under a tiny budget the
-    // CSR itself lives (partly) on disk.
-    let (rpa, ca, ra, da) = qa.csr_owned();
-    let (rpb, cb, rb, db) = qb.csr_owned();
-    assert_eq!(rpa, rpb, "{what}: row_ptr");
-    assert_eq!(ca, cb, "{what}: col");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&ra), bits(&rb), "{what}: rates");
-    assert_eq!(bits(&da), bits(&db), "{what}: diag");
-    assert_eq!(qa.initial(), qb.initial(), "{what}: π(0)");
 }
 
 proptest! {
@@ -96,21 +107,28 @@ proptest! {
 
     /// Canonical CSR is byte-identical across threads ∈ {1,2,4,8} ×
     /// spill ∈ {off, tiny-budget (auto-switches to external dedup),
-    /// forced external dedup with a roomy budget} — the arena, the
-    /// renumbering, the spill layer, and the external-memory BFS with
-    /// delayed duplicate detection together never perturb a single bit.
+    /// tiny-budget with resident dedup (the pageable packed-state
+    /// store), forced external dedup with a roomy budget} × goal ∈
+    /// {none, lane 0 finished} — the arena, the renumbering, the spill
+    /// layer, both dedup engines and their absorbing flags together
+    /// never perturb a single bit. The graph-only `explore` builds the
+    /// same graph as `explore_ctmc` in every configuration.
     #[test]
     fn csr_is_byte_identical_across_threads_and_spill(
         lanes in proptest::collection::vec((0.2f64..2.0, 0u32..3), 2..4),
         ph_order in 1u32..4,
     ) {
         let model = lane_model(&lanes);
-        let reference = explore_cfg(&model, ph_order, 1, None);
-        let configs: [(&str, Option<SpillOptions>); 3] = [
+        let lane0_done = model.place("l0_4").expect("lane 0 final place");
+        let goal = move |m: &Marking| m.get(lane0_done) > 0;
+        let configs: [(&str, Option<SpillOptions>); 4] = [
             ("off", None),
             // Adversarial: pages essentially everything and trips the
             // Auto intern-footprint switch to external dedup.
             ("tiny", Some(tiny_spill())),
+            // The same budget with the resident engine pinned: the
+            // intern table writes the pageable packed-state store.
+            ("resident", Some(tiny_spill().dedup(DedupMode::Resident))),
             // Forced DDD under a budget large enough that the CSR and
             // arena stay resident: isolates the external-memory BFS.
             (
@@ -118,14 +136,24 @@ proptest! {
                 Some(SpillOptions::with_budget(1 << 30).dedup(DedupMode::External)),
             ),
         ];
-        for threads in [1usize, 2, 4, 8] {
-            for (name, spill) in &configs {
-                let got = explore_cfg(&model, ph_order, threads, spill.clone());
-                assert_identical(
-                    &reference,
-                    &got,
-                    &format!("threads={threads} spill={name}"),
+        let goals: [(&str, Goal<'_>); 2] = [("none", None), ("lane0", Some(&goal))];
+        for (goal_name, goal) in goals {
+            let reference = explore_goal(&model, ph_order, 1, None, goal);
+            if goal.is_some() {
+                prop_assert!(
+                    reference.0.absorbing.iter().any(|&a| a),
+                    "the goal must make some state absorbing"
                 );
+            }
+            for threads in [1usize, 2, 4, 8] {
+                for (name, spill) in &configs {
+                    let what = format!("threads={threads} spill={name} goal={goal_name}");
+                    let got = explore_goal(&model, ph_order, threads, spill.clone(), goal);
+                    assert_identical(&reference, &got, &what);
+                    let opts = reach(ph_order, threads, spill.clone());
+                    let graph_only = StateSpace::explore(&model, &opts, goal).expect("explore");
+                    assert_same_graph(&got.0, &graph_only, &format!("{what} graph-only"));
+                }
             }
         }
     }
@@ -138,7 +166,7 @@ proptest! {
         ph_order in 1u32..3,
     ) {
         let model = lane_model(&lanes);
-        let (ss, streamed) = explore_cfg(&model, ph_order, 2, None);
+        let (ss, streamed) = explore_goal(&model, ph_order, 2, None, None);
         let rebuilt = Ctmc::from_state_space(&ss).expect("Markovian after expansion");
         let (rpa, ca, ra, da) = streamed.csr();
         let (rpb, cb, rb, db) = rebuilt.csr();
@@ -224,8 +252,8 @@ fn spilled_rows_random_access_round_trip() {
         spill,
         ..ReachOptions::default()
     };
-    let plain = StateSpace::explore(&model, &opts(None)).unwrap();
-    let spilled = StateSpace::explore(&model, &opts(Some(tiny_spill()))).unwrap();
+    let plain = StateSpace::explore(&model, &opts(None), None).unwrap();
+    let spilled = StateSpace::explore(&model, &opts(Some(tiny_spill())), None).unwrap();
     assert_eq!(plain.len(), spilled.len());
     // Zig-zag across the id space so consecutive reads hit far-apart
     // segments.

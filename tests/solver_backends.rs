@@ -18,7 +18,7 @@ use proptest::prelude::*;
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn ctmc_of(model: &SanModel) -> Ctmc {
-    let ss = StateSpace::explore(model, &ReachOptions::default()).expect("explore");
+    let ss = StateSpace::explore(model, &ReachOptions::default(), None).expect("explore");
     Ctmc::from_state_space(&ss).expect("all-exponential")
 }
 
@@ -234,7 +234,7 @@ fn stiff_two_timescale_absorption_defeats_sweeps_not_krylov() {
 #[test]
 fn stiff_two_timescale_steady_state_defeats_sweeps_not_krylov() {
     let model = stiff_steady(1e-6);
-    let ss = StateSpace::explore(&model, &ReachOptions::default()).expect("explore");
+    let ss = StateSpace::explore(&model, &ReachOptions::default(), None).expect("explore");
     let q = Ctmc::from_state_space(&ss).expect("all-exponential");
     let tol = 1e-9;
     let budget = 10_000;

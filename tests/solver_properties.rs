@@ -38,7 +38,7 @@ fn birth_death(means: &[(f64, f64)]) -> SanModel {
 
 fn solve_chain(means: &[(f64, f64)]) -> (usize, Ctmc) {
     let model = birth_death(means);
-    let ss = StateSpace::explore(&model, &ReachOptions::default()).expect("explore");
+    let ss = StateSpace::explore(&model, &ReachOptions::default(), None).expect("explore");
     let ctmc = Ctmc::from_state_space(&ss).expect("all-exponential");
     (ss.len(), ctmc)
 }
@@ -270,7 +270,7 @@ proptest! {
                 threads,
                 ..ReachOptions::default()
             };
-            let ss = StateSpace::explore(&model, &opts).expect("explore");
+            let ss = StateSpace::explore(&model, &opts, None).expect("explore");
             let ctmc = Ctmc::from_state_space(&ss).expect("expanded model is Markovian");
             (ss, ctmc)
         };
@@ -331,8 +331,8 @@ fn consensus_fixtures() -> &'static [(String, Ctmc)] {
                     threads: 1,
                     ..ReachOptions::default()
                 };
-                let (_, ctmc) =
-                    StateSpace::explore_ctmc(&model, &opts).expect("consensus model explores");
+                let (_, ctmc) = StateSpace::explore_ctmc(&model, &opts, None)
+                    .expect("consensus model explores");
                 out.push((format!("{name}_ph{ph_order}"), ctmc));
             }
         }
