@@ -40,8 +40,9 @@ impl ActivityId {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Marking {
     tokens: Vec<u32>,
-    // Places written since the last `drain_changed`; used by the
-    // simulator for incremental enabling checks.
+    // Places written since the last `assign` or `drain_changed`; used
+    // by the simulator and the analytic explorer for incremental
+    // enabling checks.
     changed: Vec<usize>,
 }
 
@@ -116,6 +117,14 @@ impl Marking {
         &self.tokens
     }
 
+    /// The places written since this marking was last assigned (or
+    /// since the simulator last consumed the log): raw indices, like
+    /// [`Marking::tokens`], in write order and possibly repeated. A
+    /// superset of the places whose tokens differ from that point.
+    pub fn changed(&self) -> &[usize] {
+        &self.changed
+    }
+
     /// Sum of tokens over all places (useful for conservation checks).
     pub fn total_tokens(&self) -> u64 {
         self.tokens.iter().map(|&t| t as u64).sum()
@@ -156,8 +165,14 @@ type MarkFn = Box<dyn Fn(&mut Marking) + Send + Sync>;
 /// An input gate: an enabling predicate plus a marking-changing function
 /// run when the activity completes.
 ///
-/// The `reads` set must list every place the predicate looks at — the
-/// simulator re-evaluates the predicate only when one of them changes.
+/// The `reads` set must list every place the predicate looks at. The
+/// simulator re-evaluates the predicate only when one of them changes,
+/// and the analytic explorer (`ctsim_solve`) relies on it the same way:
+/// after a completion it re-checks an activity only if one of its input
+/// places or declared `reads` was written since the tangible source
+/// state (see [`SanModel::dependents`]). An under-declared `reads` set
+/// makes both miss enablings; debug builds of the explorer assert
+/// against it.
 /// The `writes` set must list every place the function may change.
 pub struct InputGate {
     pub(crate) reads: Vec<PlaceId>,
@@ -455,6 +470,18 @@ impl SanModel {
             "token vector length must match the number of places"
         );
         Marking::new(tokens)
+    }
+
+    /// The activities whose enabling depends on `place` — through an
+    /// input arc or an input gate's declared `reads` — in declaration
+    /// order. An activity is never listed twice for one place.
+    pub fn dependents(&self, place: PlaceId) -> &[ActivityId] {
+        &self.dependents[place.0]
+    }
+
+    /// Iterates over every place id, in declaration order.
+    pub fn place_ids(&self) -> impl Iterator<Item = PlaceId> {
+        (0..self.place_names.len()).map(PlaceId)
     }
 
     /// Iterates over every activity id, in declaration order.
@@ -811,8 +838,8 @@ mod tests {
                 .input_gate(InputGate::predicate(vec![q], move |m| m.get(q) > 0)),
         );
         let m = b.build().unwrap();
-        assert_eq!(m.dependents[p.index()], vec![a]);
-        assert_eq!(m.dependents[q.index()], vec![a]);
-        assert!(m.dependents[r.index()].is_empty());
+        assert_eq!(m.dependents(p), [a]);
+        assert_eq!(m.dependents(q), [a]);
+        assert!(m.dependents(r).is_empty());
     }
 }

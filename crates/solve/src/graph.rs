@@ -40,11 +40,37 @@
 //! then phase counters) is encoded into a few `u64` words by
 //! `pack::StateLayout` — phase fields at their
 //! statically known width, place fields on an adaptive width ladder
-//! that restarts the exploration wider on overflow. A ~40-field
-//! consensus state packs into 3 words (24 bytes) instead of an
-//! `Arc<[u32]>`'s 160-byte payload plus header, roughly a 4–8× cut in
-//! per-state memory; packed words are also what the intern table
-//! hashes and compares.
+//! that restarts the exploration wider on overflow. The n = 3 order-2
+//! consensus state (403 fields: 289 places, 114 phase counters) packs
+//! into 22 words (176 bytes) instead of a 1,612-byte `u32` payload plus
+//! header, roughly a 9× cut in per-state memory; packed words are also
+//! what the intern table hashes and compares.
+//!
+//! # Work proportional to what a transition changes
+//!
+//! A transition changes a handful of a state's fields, so expanding a
+//! state avoids work that scales with the state width. The places a
+//! successor may differ in are known for free: a [`Marking`] logs every
+//! place its firings write, so each marking reached from a tangible
+//! source carries the set of places written since that source.
+//!
+//! * The vanishing scan checks only the instantaneous activities that
+//!   [depend](SanModel::dependents) on a written place — no other can
+//!   be enabled, given complete gate `reads` declarations (asserted in
+//!   debug builds).
+//! * Phase counters are decided only for the completed activity and
+//!   the expanded activities depending on a written place; every other
+//!   counter is copied from the source.
+//! * Successor keys are the source's packed key with only the written
+//!   places and decided counters patched in (`StateLayout::patch`,
+//!   which fails exactly where a full encode would overflow).
+//! * The absorbing verdict is evaluated once per outcome marking and
+//!   carried to the dedup sink.
+//! * [`StateSpace::rebuild_rates`] reads single phase fields instead
+//!   of decoding whole states.
+//!
+//! Candidates are visited in declaration order and patched keys equal
+//! full encodes, so none of this changes a result bit.
 //!
 //! # Concurrent exploration, streamed assembly
 //!
@@ -482,6 +508,100 @@ struct Explorer<'m, 'a> {
     /// declaration order — precomputed so vanishing resolution does
     /// not re-filter the whole activity list per visited marking.
     instantaneous: Vec<(ActivityId, u32, f64)>,
+    /// `u64` words per bitmask over places.
+    place_words: usize,
+    /// Which entries of `instantaneous` depend on each place.
+    inst_deps: DepMasks,
+    /// Which expanded activities (`Expansion::expanded`, slot order)
+    /// depend on each place.
+    phase_deps: DepMasks,
+}
+
+/// Per place, a bitmask over a list of activities (bit `i` is list
+/// entry `i`) of those whose enabling depends on that place — input
+/// arcs and declared gate `reads`, as [`SanModel::dependents`] lists
+/// them.
+struct DepMasks {
+    /// List length.
+    len: usize,
+    /// `u64` words per mask.
+    words: usize,
+    /// `words` words per place, place order.
+    masks: Vec<u64>,
+}
+
+impl DepMasks {
+    fn new(model: &SanModel, list: impl Iterator<Item = ActivityId>) -> Self {
+        let mut index = vec![usize::MAX; model.num_activities()];
+        let mut len = 0;
+        for a in list {
+            index[a.index()] = len;
+            len += 1;
+        }
+        let words = len.div_ceil(64);
+        let mut masks = vec![0u64; model.num_places() * words];
+        for p in model.place_ids() {
+            let mask = &mut masks[p.index() * words..][..words];
+            for a in model.dependents(p) {
+                let i = index[a.index()];
+                if i != usize::MAX {
+                    mask[i / 64] |= 1 << (i % 64);
+                }
+            }
+        }
+        Self { len, words, masks }
+    }
+
+    /// Fills `out` with the list entries whose enabling may have
+    /// changed: every entry when `places` is unknown, otherwise those
+    /// depending on a place in the bitmask `places`.
+    fn of(&self, places: Option<&[u64]>, out: &mut Vec<u64>) {
+        out.clear();
+        let Some(places) = places else {
+            out.extend((0..self.words).map(|w| match self.len - w * 64 {
+                r if r >= 64 => u64::MAX,
+                r => (1u64 << r) - 1,
+            }));
+            return;
+        };
+        out.resize(self.words, 0);
+        for p in set_bits(places) {
+            for (o, &m) in out
+                .iter_mut()
+                .zip(&self.masks[p * self.words..][..self.words])
+            {
+                *o |= m;
+            }
+        }
+    }
+}
+
+/// Adds the place indices of a marking's write log to the bitmask
+/// `set`.
+fn mark_written(set: &mut [u64], written: &[usize]) {
+    for &p in written {
+        set[p / 64] |= 1 << (p % 64);
+    }
+}
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_bits(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &m)| {
+        let mut m = m;
+        std::iter::from_fn(move || {
+            (m != 0).then(|| {
+                let b = m.trailing_zeros() as usize;
+                m &= m - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
+/// Whether bit `i` of `mask` is set (the debug cross-checks).
+#[cfg(debug_assertions)]
+fn has_bit(mask: &[u64], i: usize) -> bool {
+    mask[i / 64] >> (i % 64) & 1 == 1
 }
 
 /// Per-worker reusable buffers. One `Scratch` lives as long as its
@@ -497,22 +617,22 @@ struct Scratch {
     ext: Vec<u32>,
     /// The source state's outgoing transitions being generated.
     row: Vec<Transition>,
-    /// Tangible `(tokens, prob)` outcomes of one case resolution.
-    outs: Vec<(Vec<u32>, f64)>,
+    /// Tangible outcomes of one case resolution.
+    outs: Vec<Outcome>,
     /// Vanishing-resolution output of one case.
     dist: Vec<(Marking, f64)>,
+    /// Per `dist` entry, the places written since the source
+    /// (`Explorer::place_words` words each).
+    dist_written: Vec<u64>,
     /// Recycled extended-state vectors (all `num_fields` long): the
     /// per-outcome buffers live only from `continue_phases` to the
-    /// encode in `completions`, so a small pool removes the last
+    /// key patch in `completions`, so a small pool removes the last
     /// per-transition allocation of the hot path.
     pool: Vec<Vec<u32>>,
-    /// Phase-entry branch-split staging buffer (`continue_phases`).
-    split: Vec<(Vec<u32>, f64)>,
-    /// Vanishing-resolution worklist (`resolve_vanishing`).
-    vwork: Vec<(Marking, f64, usize)>,
-    /// Highest-priority enabled instantaneous activities
-    /// (`resolve_vanishing`).
-    vlevel: Vec<(ActivityId, f64)>,
+    /// Phase-distribution buffers (`continue_phases`).
+    phasing: Phasing,
+    /// Vanishing-resolution buffers.
+    vanish: Vanish,
     /// Recycled `Marking`s: the expansion materialises a marking per
     /// fired case and per vanishing step — reusing their buffers
     /// removes a few heap allocations per generated transition.
@@ -528,13 +648,57 @@ impl Scratch {
             row: Vec::new(),
             outs: Vec::new(),
             dist: Vec::new(),
+            dist_written: Vec::new(),
             pool: Vec::new(),
-            split: Vec::new(),
-            vwork: Vec::new(),
-            vlevel: Vec::new(),
+            phasing: Phasing::default(),
+            vanish: Vanish::default(),
             mpool: Vec::new(),
         }
     }
+}
+
+/// One tangible outcome of a completion: the successor's extended
+/// state vector, its probability, and whether its place marking
+/// satisfies the absorbing predicate.
+type Outcome = (Vec<u32>, f64, bool);
+
+/// Reusable buffers of `Explorer::continue_phases`.
+#[derive(Default)]
+struct Phasing {
+    /// Branch-split staging buffer.
+    split: Vec<(Vec<u32>, f64)>,
+    /// The expanded activities whose counters need a decision: a
+    /// bitmask over `Expansion::expanded`.
+    cand: Vec<u64>,
+}
+
+/// Where a tangible outcome of `Explorer::continue_phases` came from.
+#[derive(Clone, Copy)]
+struct Origin<'s> {
+    /// The expanded source state's extended vector.
+    ext: &'s [u32],
+    /// Bitmask of the places written since the source — a superset of
+    /// those whose tokens differ from it.
+    written: &'s [u64],
+    /// The activity whose completion led here.
+    completed: ActivityId,
+}
+
+/// Reusable buffers of `Explorer::resolve_vanishing`.
+#[derive(Default)]
+struct Vanish {
+    /// Worklist of `(marking, prob, depth)`.
+    work: Vec<(Marking, f64, usize)>,
+    /// Per worklist entry, the places written since the tangible source
+    /// (`Explorer::place_words` words each): a stack parallel to `work`.
+    written: Vec<u64>,
+    /// The popped entry's written places.
+    cur: Vec<u64>,
+    /// Highest-priority enabled instantaneous activities.
+    level: Vec<(ActivityId, f64)>,
+    /// The instantaneous activities worth checking in the marking at
+    /// hand: a bitmask over `Explorer::instantaneous`.
+    cand: Vec<u64>,
 }
 
 /// Where one provisional state's transition run sits inside one
@@ -607,6 +771,15 @@ impl<'m, 'a> Explorer<'m, 'a> {
         absorb: Option<&'a AbsorbFn<'a>>,
         layout: &'a StateLayout,
     ) -> Self {
+        let instantaneous: Vec<(ActivityId, u32, f64)> = model
+            .activity_ids()
+            .filter_map(|a| match *model.timing(a) {
+                Timing::Instantaneous { priority, weight } => Some((a, priority, weight)),
+                Timing::Timed(_) => None,
+            })
+            .collect();
+        let inst_deps = DepMasks::new(model, instantaneous.iter().map(|&(a, ..)| a));
+        let phase_deps = DepMasks::new(model, expansion.expanded.iter().map(|&(a, _)| a));
         Self {
             model,
             opts,
@@ -614,71 +787,58 @@ impl<'m, 'a> Explorer<'m, 'a> {
             absorb,
             layout,
             base: model.num_places(),
+            place_words: model.num_places().div_ceil(64),
             timed: model
                 .activity_ids()
                 .filter(|&a| matches!(model.timing(a), Timing::Timed(_)))
                 .collect(),
-            instantaneous: model
-                .activity_ids()
-                .filter_map(|a| match *model.timing(a) {
-                    Timing::Instantaneous { priority, weight } => Some((a, priority, weight)),
-                    Timing::Timed(_) => None,
-                })
-                .collect(),
+            instantaneous,
+            inst_deps,
+            phase_deps,
         }
     }
 
     /// Resolves the initial marking's vanishing chain (and phase
     /// entry) into the extended initial token vectors with their
-    /// probabilities — the pre-interning half of level 0.
-    fn initial_ext(&self) -> Result<Vec<(Vec<u32>, f64)>, Abort> {
-        let init_marking = self
-            .model
-            .marking_from(self.model.initial_marking().tokens());
+    /// probabilities and absorbing verdicts — the pre-interning half of
+    /// level 0. The initial marking has no tangible source, so its
+    /// vanishing scan checks every instantaneous activity.
+    fn initial_ext(&self) -> Result<Vec<Outcome>, Abort> {
         let mut init_dist: Vec<(Marking, f64)> = Vec::new();
-        let (mut vwork, mut vlevel) = (Vec::new(), Vec::new());
-        let mut mpool: Vec<Marking> = Vec::new();
         self.resolve_vanishing(
-            init_marking,
+            self.model.initial_marking(),
             1.0,
+            false,
             &mut init_dist,
-            &mut vwork,
-            &mut vlevel,
-            &mut mpool,
+            &mut Vec::new(),
+            &mut Vanish::default(),
+            &mut Vec::new(),
         )?;
-        let mut ext: Vec<(Vec<u32>, f64)> = Vec::new();
-        let mut pool: Vec<Vec<u32>> = Vec::new();
-        let mut split: Vec<(Vec<u32>, f64)> = Vec::new();
+        let mut ext: Vec<Outcome> = Vec::new();
+        let (mut pool, mut phasing) = (Vec::new(), Phasing::default());
         for (marking, p) in init_dist {
-            self.continue_phases(None, None, &marking, p, &mut ext, &mut pool, &mut split);
+            self.continue_phases(None, &marking, p, &mut ext, &mut pool, &mut phasing);
         }
         Ok(ext)
     }
 }
 
 impl Explorer<'_, '_> {
-    /// Whether the tangible place prefix of `tokens` is absorbing.
-    fn is_absorbing(&self, tokens: &[u32]) -> bool {
-        self.absorb
-            .is_some_and(|f| f(&self.model.marking_from(&tokens[..self.base])))
-    }
-
-    /// Encodes `tokens` and hands it to the deduplicator, returning the
-    /// sink's id for it: the provisional intern id on the resident
-    /// path, a worker-local candidate index on the external-memory one.
-    fn intern_tokens<S: DedupSink>(
+    /// Hands a packed key and its absorbing verdict to the
+    /// deduplicator, returning the sink's id for it: the provisional
+    /// intern id on the resident path, a worker-local candidate index
+    /// on the external-memory one.
+    fn intern_key<S: DedupSink>(
         &self,
         sink: &mut S,
-        tokens: &[u32],
-        key: &mut [u64],
+        key: &[u64],
+        absorbing: bool,
     ) -> Result<usize, Abort> {
-        self.layout.encode(tokens, key).map_err(|_| Abort::Pack)?;
-        sink.intern_key(key, || self.is_absorbing(tokens))
-            .map_err(|_| {
-                Abort::Solve(SolveError::StateSpaceTooLarge {
-                    limit: self.opts.max_states,
-                })
+        sink.intern_key(key, || absorbing).map_err(|_| {
+            Abort::Solve(SolveError::StateSpaceTooLarge {
+                limit: self.opts.max_states,
             })
+        })
     }
 
     /// Draws a `num_fields`-long buffer with zeroed phase slots from
@@ -695,50 +855,85 @@ impl Explorer<'_, '_> {
     }
 
     /// Distributes phase counters over a freshly reached tangible place
-    /// marking: kept where an activity other than `completed` stayed
-    /// enabled (its clock keeps running), re-entered (branch split)
-    /// where an activity is newly enabled or just completed, zero where
-    /// disabled. Absorbing markings get all-zero counters — their
-    /// future is irrelevant, and canonicalising them merges states.
+    /// marking: kept where an activity other than the completed one
+    /// stayed enabled (its clock keeps running), re-entered (branch
+    /// split) where an activity is newly enabled or just completed,
+    /// zero where disabled. Absorbing markings get all-zero counters —
+    /// their future is irrelevant, and canonicalising them merges
+    /// states. The absorbing verdict, evaluated here once per marking,
+    /// travels with every outcome to the deduplicator.
+    ///
+    /// Only the completed activity and those that depend on a place
+    /// written since the origin are decided: any other one is enabled
+    /// exactly when it was in the origin state, i.e. when its old
+    /// counter is non-zero (the exploration invariant), so its old
+    /// counter — running clock or 0 — is copied as is. Decisions run in
+    /// slot order, so branch splits come out in the same order as with
+    /// every activity decided. `phasing.cand` is left holding the slots
+    /// (bit `i` is slot `base + i`) whose counters may differ from the
+    /// origin's.
     ///
     /// Appends its outcomes to `out`, treating `out[start..]` as its
     /// working set so the common single-outcome path allocates nothing
-    /// (`split` is a reused staging buffer for the branch-split case).
-    #[allow(clippy::too_many_arguments)]
+    /// (`phasing.split` is a reused staging buffer for the branch-split
+    /// case).
     fn continue_phases(
         &self,
-        old_ext: Option<&[u32]>,
-        completed: Option<ActivityId>,
+        origin: Option<Origin<'_>>,
         marking: &Marking,
         prob: f64,
-        out: &mut Vec<(Vec<u32>, f64)>,
+        out: &mut Vec<Outcome>,
         pool: &mut Vec<Vec<u32>>,
-        split: &mut Vec<(Vec<u32>, f64)>,
+        phasing: &mut Phasing,
     ) {
-        let slots = self.expansion.num_slots();
         let start = out.len();
         let mut ext = self.fresh_ext(pool);
         ext[..self.base].copy_from_slice(marking.tokens());
-        out.push((ext, prob));
-        if slots == 0 {
+        let absorbing = self.absorb.is_some_and(|f| f(marking));
+        let Phasing { split, cand } = phasing;
+        if absorbing || self.expansion.num_slots() == 0 {
+            // Every counter is reset (or there is none).
+            self.phase_deps.of(None, cand);
+            out.push((ext, prob, absorbing));
             return;
         }
-        if self.absorb.is_some_and(|f| f(marking)) {
-            return;
+        if let Some(o) = origin {
+            ext[self.base..].copy_from_slice(&o.ext[self.base..]);
         }
-        for &(a, slot) in &self.expansion.expanded {
+        out.push((ext, prob, false));
+        self.phase_deps.of(origin.map(|o| o.written), cand);
+        let completed = origin.map(|o| o.completed);
+        if let Some(c) = completed {
+            let slot = self.expansion.slots[c.index()];
+            if slot != usize::MAX {
+                let i = slot - self.base;
+                cand[i / 64] |= 1 << (i % 64);
+            }
+        }
+        #[cfg(debug_assertions)]
+        if let Some(o) = origin {
+            for (i, &(a, slot)) in self.expansion.expanded.iter().enumerate() {
+                assert!(
+                    has_bit(cand, i) || self.model.is_enabled(a, marking) == (o.ext[slot] >= 1),
+                    "timed activity `{}` changed enabling although none of its input \
+                     places or declared gate reads changed: an input gate under-declares `reads`",
+                    self.model.activity_name(a)
+                );
+            }
+        }
+        for i in set_bits(cand) {
+            let (a, slot) = self.expansion.expanded[i];
             if !self.model.is_enabled(a, marking) {
-                continue; // counter stays 0
+                for (e, ..) in &mut out[start..] {
+                    e[slot] = 0;
+                }
+                continue;
             }
             // A non-zero counter in the old state means the activity
             // was enabled there (the exploration invariant), so its
-            // clock keeps running unless it is the one that completed.
-            let keep = completed != Some(a) && old_ext.is_some_and(|o| o[slot] >= 1);
-            if keep {
-                let old = old_ext.expect("keep implies old state")[slot];
-                for (e, _) in &mut out[start..] {
-                    e[slot] = old;
-                }
+            // clock keeps running — the copied counter stands — unless
+            // it is the one that completed.
+            if completed != Some(a) && origin.is_some_and(|o| o.ext[slot] >= 1) {
                 continue;
             }
             let starts = &self.expansion.plans[a.index()]
@@ -746,7 +941,7 @@ impl Explorer<'_, '_> {
                 .expect("expanded activity has a plan")
                 .starts;
             if let [(phase, _)] = starts.as_slice() {
-                for (e, _) in &mut out[start..] {
+                for (e, ..) in &mut out[start..] {
                     e[slot] = *phase;
                 }
                 continue;
@@ -756,7 +951,7 @@ impl Explorer<'_, '_> {
             // outcome, the non-final branches first, then the final
             // branch reusing the original buffer.
             split.clear();
-            split.extend(out.drain(start..));
+            split.extend(out.drain(start..).map(|(e, p, _)| (e, p)));
             let (&(last_phase, last_bp), rest) =
                 starts.split_last().expect("non-empty entry distribution");
             for (e, p) in split.drain(..) {
@@ -764,11 +959,11 @@ impl Explorer<'_, '_> {
                     let mut e2 = self.fresh_ext(pool);
                     e2.copy_from_slice(&e);
                     e2[slot] = phase;
-                    out.push((e2, p * bp));
+                    out.push((e2, p * bp, false));
                 }
                 let mut e = e;
                 e[slot] = last_phase;
-                out.push((e, p * last_bp));
+                out.push((e, p * last_bp, false));
             }
         }
     }
@@ -777,6 +972,10 @@ impl Explorer<'_, '_> {
     /// `base_rate` is the exponential rate of the completing event.
     /// Transitions are appended to `trans` (the caller's reused row
     /// buffer — `scratch.row`, temporarily taken out of the scratch).
+    /// Each target's packed key is the source's (`scratch.src_key`)
+    /// with only the places written since the source and the phase
+    /// counters `continue_phases` decided patched in — every other
+    /// field equals the source's.
     fn completions<S: DedupSink>(
         &self,
         sink: &mut S,
@@ -799,41 +998,59 @@ impl Explorer<'_, '_> {
                 None => self.model.marking_from(&ext[..self.base]),
             };
             self.model.fire_case(&mut after, a, case);
-            scratch.dist.clear();
-            {
-                let Scratch {
-                    dist,
-                    vwork,
-                    vlevel,
-                    mpool,
-                    ..
-                } = scratch;
-                self.resolve_vanishing(after, case_p, dist, vwork, vlevel, mpool)?;
-            }
             let Scratch {
                 dist,
+                dist_written,
                 outs,
                 pool,
-                split,
+                phasing,
                 key,
+                src_key,
+                vanish,
                 mpool,
                 ..
             } = scratch;
-            outs.clear();
-            for (marking, p) in dist.drain(..) {
-                self.continue_phases(Some(ext), Some(a), &marking, p, outs, pool, split);
+            dist.clear();
+            dist_written.clear();
+            self.resolve_vanishing(after, case_p, true, dist, dist_written, vanish, mpool)?;
+            let words = self.place_words;
+            for ((marking, p), written) in dist.drain(..).zip(dist_written.chunks_exact(words)) {
+                let origin = Origin {
+                    ext,
+                    written,
+                    completed: a,
+                };
+                outs.clear();
+                self.continue_phases(Some(origin), &marking, p, outs, pool, phasing);
                 mpool.push(marking);
-            }
-            for (tokens, p) in outs.drain(..) {
-                let target = self.intern_tokens(sink, &tokens, key)?;
-                pool.push(tokens);
-                trans.push(Transition {
-                    activity: a,
-                    prob: p,
-                    rate: base_rate,
-                    completes: true,
-                    target,
-                });
+                for (tokens, p, absorbing) in outs.drain(..) {
+                    key.copy_from_slice(src_key);
+                    let slots = set_bits(&phasing.cand).map(|i| self.base + i);
+                    for f in set_bits(written).chain(slots) {
+                        if tokens[f] != ext[f] {
+                            self.layout
+                                .patch(key, f, tokens[f])
+                                .map_err(|_| Abort::Pack)?;
+                        }
+                    }
+                    #[cfg(debug_assertions)]
+                    {
+                        let mut full = vec![0u64; key.len()];
+                        self.layout
+                            .encode(&tokens, &mut full)
+                            .expect("patched fields fit");
+                        assert_eq!(&full[..], &key[..], "patched key differs from encode");
+                    }
+                    let target = self.intern_key(sink, key, absorbing)?;
+                    pool.push(tokens);
+                    trans.push(Transition {
+                        activity: a,
+                        prob: p,
+                        rate: base_rate,
+                        completes: true,
+                        target,
+                    });
+                }
             }
         }
         Ok(())
@@ -893,20 +1110,17 @@ impl Explorer<'_, '_> {
                         // Fast path for internal phase advances: the
                         // target's packed key is the source key with
                         // one phase field bumped — no token-vector
-                        // materialisation, no re-encode (and phase
-                        // fields are exactly sized, so the patch can
-                        // never overflow). The place prefix is
-                        // unchanged, so the target's absorbing verdict
-                        // equals the (expanded, hence non-absorbing)
-                        // source's: false.
+                        // materialisation (and phase fields are exactly
+                        // sized, so the patch cannot overflow). The
+                        // place prefix is unchanged, so the target's
+                        // absorbing verdict equals the (expanded, hence
+                        // non-absorbing) source's: false.
                         let Scratch { key, src_key, .. } = scratch;
                         key.copy_from_slice(src_key);
-                        self.layout.patch(key, slot, phase + 1);
-                        let target = sink.intern_key(key, || false).map_err(|_| {
-                            Abort::Solve(SolveError::StateSpaceTooLarge {
-                                limit: self.opts.max_states,
-                            })
-                        })?;
+                        self.layout
+                            .patch(key, slot, phase + 1)
+                            .map_err(|_| Abort::Pack)?;
+                        let target = self.intern_key(sink, key, false)?;
                         trans.push(Transition {
                             activity: a,
                             prob: 1.0,
@@ -1614,8 +1828,9 @@ impl<'m> StateSpace<'m> {
         {
             let mut sink = engine.sink(&mut locals[0]);
             let mut key = vec![0u64; words];
-            for (tokens, p) in explorer.initial_ext()? {
-                let id = explorer.intern_tokens(&mut sink, &tokens, &mut key)?;
+            for (tokens, p, absorbing) in explorer.initial_ext()? {
+                layout.encode(&tokens, &mut key).map_err(|_| Abort::Pack)?;
+                let id = explorer.intern_key(&mut sink, &key, absorbing)?;
                 match initial.iter_mut().find(|(i, _)| *i == id) {
                     Some((_, q)) => *q += p,
                     None => initial.push((id, p)),
@@ -2024,20 +2239,18 @@ impl<'m> StateSpace<'m> {
         let packed = &self.packed;
         let words = layout.words();
         let mut key = vec![0u64; words];
-        let mut ext = vec![0u32; layout.num_fields()];
         self.trans.update_rows(&self.row_locs, |i, row| {
             if row.is_empty() {
                 return;
             }
             packed.read_into(words, i, &mut key);
-            layout.decode(&key, &mut ext);
             for t in row {
                 let idx = t.activity.index();
                 t.rate = match expansion.plans[idx].as_ref() {
                     Some(plan) => {
                         // A transition of an expanded activity exists
                         // only while its phase counter is active.
-                        let phase = ext[expansion.slots[idx]];
+                        let phase = layout.get(&key, expansion.slots[idx]);
                         debug_assert!(phase >= 1, "active expanded activity has phase 0");
                         plan.rates[(phase - 1) as usize]
                     }
@@ -2097,35 +2310,66 @@ impl Explorer<'_, '_> {
     /// end to end — no token-vector round-trips on this hot path — and
     /// the worklist/race buffers are caller-provided scratch, reused
     /// across every resolution a worker performs.
+    ///
+    /// With `from_tangible`, `marking` was assigned a tangible state's
+    /// places and then fired, so its write log holds every place that
+    /// can differ from that state. No instantaneous activity is enabled
+    /// in a tangible state, so along the chain only those depending on
+    /// a place written since can be: each worklist entry carries that
+    /// written set (its parent's plus its own firing's log), and only
+    /// those activities are checked, in declaration order — the race
+    /// and its floating-point sums are the same as with a scan of all
+    /// of them. Without a tangible origin (the initial marking) every
+    /// instantaneous activity is checked. Each tangible result in `out`
+    /// gets its written set appended to `out_written`.
+    #[allow(clippy::too_many_arguments)]
     fn resolve_vanishing(
         &self,
         marking: Marking,
         prob: f64,
+        from_tangible: bool,
         out: &mut Vec<(Marking, f64)>,
-        work: &mut Vec<(Marking, f64, usize)>,
-        level: &mut Vec<(ActivityId, f64)>,
+        out_written: &mut Vec<u64>,
+        vanish: &mut Vanish,
         mpool: &mut Vec<Marking>,
     ) -> Result<(), SolveError> {
         let model = self.model;
+        let words = self.place_words;
+        let Vanish {
+            work,
+            written,
+            cur,
+            level,
+            cand,
+        } = vanish;
+        written.clear();
+        written.resize(words, 0);
+        mark_written(written, marking.changed());
         if self.instantaneous.is_empty() {
             // No instantaneous activities anywhere: every marking is
             // tangible, skip the worklist entirely.
             out.push((marking, prob));
+            out_written.extend_from_slice(written);
             return Ok(());
         }
         work.clear();
         work.push((marking, prob, 0));
         while let Some((marking, prob, depth)) = work.pop() {
+            cur.clear();
+            cur.extend_from_slice(&written[written.len() - words..]);
+            written.truncate(written.len() - words);
             if depth > self.opts.max_vanishing_depth {
                 return Err(SolveError::VanishingLoop {
                     depth: self.opts.max_vanishing_depth,
                 });
             }
+            self.inst_deps.of(from_tangible.then_some(&cur[..]), cand);
             // The enabled instantaneous activities at the highest
             // priority.
             let mut best_prio = 0u32;
             level.clear();
-            for &(a, priority, weight) in &self.instantaneous {
+            for i in set_bits(cand) {
+                let (a, priority, weight) = self.instantaneous[i];
                 if !model.is_enabled(a, &marking) {
                     continue;
                 }
@@ -2137,8 +2381,18 @@ impl Explorer<'_, '_> {
                     level.push((a, weight));
                 }
             }
+            #[cfg(debug_assertions)]
+            for (i, &(a, ..)) in self.instantaneous.iter().enumerate() {
+                assert!(
+                    has_bit(cand, i) || !model.is_enabled(a, &marking),
+                    "instantaneous activity `{}` is enabled although none of its input \
+                     places or declared gate reads changed: an input gate under-declares `reads`",
+                    model.activity_name(a)
+                );
+            }
             if level.is_empty() {
                 out.push((marking, prob));
+                out_written.extend_from_slice(cur);
                 continue;
             }
             let total_weight: f64 = level.iter().map(|&(_, w)| w).sum();
@@ -2157,6 +2411,9 @@ impl Explorer<'_, '_> {
                         None => model.marking_from(marking.tokens()),
                     };
                     model.fire_case(&mut after, a, case);
+                    written.extend_from_slice(cur);
+                    let n = written.len();
+                    mark_written(&mut written[n - words..], after.changed());
                     work.push((after, pick * case_p, depth + 1));
                 }
             }
@@ -2219,6 +2476,65 @@ mod tests {
         let q_state = ss.tokens(ss.outgoing(0)[0].target);
         assert_eq!(q_state[q.index()], 1);
         assert_eq!(q_state[v.index()], 0);
+    }
+
+    /// The vanishing scan re-checks only instantaneous activities that
+    /// depend on a changed place, so a gate predicate reading a place
+    /// missing from its `reads` set would go unseen; debug builds catch
+    /// the under-declared gate instead of exploring a wrong graph.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "instantaneous activity `i` is enabled")]
+    fn under_declared_gate_reads_are_caught() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let v = b.place("v", 0);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("t", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(v, 1)),
+        );
+        // The predicate reads `v`, but the gate declares no reads.
+        b.add_activity(
+            Activity::instantaneous("i")
+                .input_gate(
+                    ctsim_san::InputGate::predicate(vec![], move |m| m.get(v) > 0)
+                        .with_func(vec![v], move |m| m.set(v, 0)),
+                )
+                .case(Case::with_prob(1.0).output(q, 1)),
+        );
+        let m = b.build().unwrap();
+        let _ = StateSpace::explore(&m, &ReachOptions::default(), None);
+    }
+
+    /// The same for phase counters: an expanded activity whose gate
+    /// reads an undeclared place would keep a stale counter.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "timed activity `drain` changed enabling")]
+    fn under_declared_timed_gate_reads_are_caught() {
+        let mut b = SanBuilder::new("m");
+        let p = b.place("p", 1);
+        let q = b.place("q", 0);
+        b.add_activity(
+            Activity::timed("move", Dist::Exp { mean: 1.0 })
+                .input(p, 1)
+                .case(Case::with_prob(1.0).output(q, 1)),
+        );
+        // The predicate reads `q`, but the gate declares no reads.
+        b.add_activity(
+            Activity::timed("drain", Dist::Det(1.0)).input_gate(
+                ctsim_san::InputGate::predicate(vec![], move |m| m.get(q) > 0)
+                    .with_func(vec![q], move |m| m.set(q, 0)),
+            ),
+        );
+        let m = b.build().unwrap();
+        let opts = ReachOptions {
+            ph_order: 2,
+            ..ReachOptions::default()
+        };
+        let _ = StateSpace::explore(&m, &opts, None);
     }
 
     /// Instantaneous cases split the probability mass.

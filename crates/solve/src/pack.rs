@@ -5,12 +5,12 @@
 //! the extended state vector (place token counts, then one phase
 //! counter per expanded activity) occupies a fixed bit slice of the
 //! packed words. On the consensus models this cuts per-state memory
-//! roughly 4–8× (a ~40-field state packs into 3 words — 24 bytes —
-//! where the old representation paid 160 bytes of `u32`s plus the `Arc`
-//! header and pointer), which is what lets `n = 3` phase-type spaces
-//! (multi-million states) fit comfortably in RAM. Packed words are also
-//! what the concurrent intern table hashes and compares, so the hot
-//! lookup path touches 3 words instead of 40 — and, in the
+//! roughly 9× (the n = 3 order-2 state — 403 fields: 289 places and 114
+//! phase counters — packs into 22 words, 176 bytes, where a `u32`
+//! vector pays 1,612 bytes plus its header and pointer), which is what
+//! lets `n = 3` phase-type spaces fit comfortably in RAM. Packed words
+//! are also what the concurrent intern table hashes and compares, so
+//! the hot lookup path touches 22 words instead of 403 — and, in the
 //! external-memory exploration ([`crate::ddd`]), the packed words *are*
 //! the sort keys: frontiers are sorted and sort-merged against the
 //! on-disk visited runs as fixed-width word tuples, so the canonical
@@ -29,6 +29,15 @@
 //! on the model's reachable token counts, never on thread interleaving,
 //! preserving the engine's determinism guarantee. Fields never straddle
 //! a word boundary, so encode/decode are a shift and a mask per field.
+//!
+//! # Patched successor keys
+//!
+//! A transition changes a handful of the 403 fields, so the exploration
+//! never re-encodes a successor: it copies the source's packed key and
+//! [patches](StateLayout::patch) only the fields that changed. The
+//! patch is checked against the field width and fails exactly where a
+//! full [`StateLayout::encode`] of the successor would, so the widening
+//! ladder sees the same overflows either way.
 
 /// The place-field width retry ladder (bits). The last rung holds any
 /// `u32`, so a retry chain always terminates.
@@ -45,10 +54,26 @@ struct FieldSpec {
     width: u32,
 }
 
+/// A maximal run of consecutive equal-width fields packed side by side
+/// in one word — the unit [`StateLayout::decode`] walks, so its inner
+/// loop is one mask and one shift per field.
+#[derive(Debug, Clone, Copy)]
+struct FieldRun {
+    word: usize,
+    /// Bit offset of the run's first field.
+    shift: u32,
+    width: u32,
+    /// Index of the run's first field.
+    first: usize,
+    len: usize,
+}
+
 /// The bit layout of one exploration's packed state vectors.
 #[derive(Debug, Clone)]
 pub struct StateLayout {
     fields: Vec<FieldSpec>,
+    /// `fields` grouped into runs, field order.
+    runs: Vec<FieldRun>,
     /// Packed words per state.
     words: usize,
     /// Number of leading place fields (the marking prefix).
@@ -89,8 +114,22 @@ impl StateLayout {
             shift += width;
         }
         let words = if fields.is_empty() { 1 } else { word + 1 };
+        let mut runs: Vec<FieldRun> = Vec::new();
+        for (i, f) in fields.iter().enumerate() {
+            match runs.last_mut() {
+                Some(r) if r.word == f.word && r.width == f.width => r.len += 1,
+                _ => runs.push(FieldRun {
+                    word: f.word,
+                    shift: f.shift,
+                    width: f.width,
+                    first: i,
+                    len: 1,
+                }),
+            }
+        }
         Self {
             fields,
+            runs,
             words,
             places,
             place_rung: rung,
@@ -156,33 +195,52 @@ impl StateLayout {
         Ok(())
     }
 
-    /// Overwrites one field of an already-encoded state in place — the
-    /// fast path for successors that differ from their source in a
-    /// single field (phase advances). The value must fit the field's
-    /// width; phase fields are sized exactly for their plan, so a
-    /// within-plan phase can never overflow.
-    pub(crate) fn patch(&self, words: &mut [u64], field: usize, value: u32) {
+    /// Overwrites one field of an already-encoded state in place — how
+    /// the exploration builds a successor's key: copy the source key,
+    /// then patch only the fields the transition changed. Fails with
+    /// [`PackOverflow`] (leaving `words` untouched) exactly when
+    /// [`Self::encode`] would reject `value` for this field, so a
+    /// patched key and a full encode share one widen-and-retry ladder.
+    #[inline]
+    pub(crate) fn patch(
+        &self,
+        words: &mut [u64],
+        field: usize,
+        value: u32,
+    ) -> Result<(), PackOverflow> {
         let f = self.fields[field];
-        debug_assert_eq!(u64::from(value) >> f.width, 0, "patch value overflows");
+        if u64::from(value) >> f.width != 0 {
+            return Err(PackOverflow);
+        }
         let mask = ((1u64 << f.width) - 1) << f.shift;
         words[f.word] = (words[f.word] & !mask) | (u64::from(value) << f.shift);
+        Ok(())
+    }
+
+    /// Reads one field of a packed state — the single-field
+    /// counterpart of [`Self::decode`].
+    #[inline]
+    pub(crate) fn get(&self, words: &[u64], field: usize) -> u32 {
+        let f = self.fields[field];
+        ((words[f.word] >> f.shift) & ((1u64 << f.width) - 1)) as u32
     }
 
     /// Unpacks `words` into `out`, which must hold exactly
-    /// [`Self::num_fields`] values. Mirrors `encode`: the current word
-    /// rides in a register, advanced at field boundaries.
+    /// [`Self::num_fields`] values. Walks the layout run by run: the
+    /// run's word rides in a register, masked and shifted down one
+    /// field at a time (one decode per expanded state — 403 fields at
+    /// n = 3 order 2).
     pub(crate) fn decode(&self, words: &[u64], out: &mut [u32]) {
         debug_assert_eq!(words.len(), self.words);
         debug_assert_eq!(out.len(), self.fields.len());
-        let mut word = 0usize;
-        let mut cur = words.first().copied().unwrap_or(0);
-        for (f, v) in self.fields.iter().zip(out.iter_mut()) {
-            if f.word != word {
-                word = f.word;
-                cur = words[word];
-            }
+        for r in &self.runs {
             // Field widths never reach 64, so the mask shift is safe.
-            *v = ((cur >> f.shift) & ((1u64 << f.width) - 1)) as u32;
+            let mask = (1u64 << r.width) - 1;
+            let mut cur = words[r.word] >> r.shift;
+            for v in &mut out[r.first..r.first + r.len] {
+                *v = (cur & mask) as u32;
+                cur >>= r.width;
+            }
         }
     }
 
@@ -202,6 +260,7 @@ fn bits_for(max: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip(layout: &StateLayout, values: &[u32]) {
         let mut words = vec![0u64; layout.words()];
@@ -295,5 +354,66 @@ mod tests {
         assert!(layout.words() >= 2);
         let values = [255, 0, 17, 255, 1, 2, 3, 254, 128, 300, 2];
         round_trip(&layout, &values);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Copying `encode(source)` and patching the fields where the
+        /// target differs gives `encode(target)`; a target field over
+        /// its width makes the patch fail exactly when `encode` fails;
+        /// and `get` agrees with `decode` field by field.
+        #[test]
+        fn patched_key_equals_full_encode(
+            places in 0usize..40,
+            phase_maxes in proptest::collection::vec(1u32..40, 0..12),
+            rung in 0usize..4,
+            raw in proptest::collection::vec((0u32..u32::MAX, 0u32..u32::MAX, 0u8..4), 52..53),
+        ) {
+            let layout = StateLayout::with_rung(places, &phase_maxes, rung);
+            let max = |i: usize| ((1u64 << layout.fields[i].width) - 1) as u32;
+            let n = layout.num_fields();
+            // Source values always fit; a target field is kept (0, 3),
+            // redrawn within its width (1), or redrawn unmasked (2),
+            // which overflows any field narrower than 32 bits.
+            let source: Vec<u32> = (0..n).map(|i| raw[i].0 & max(i)).collect();
+            let target: Vec<u32> = (0..n)
+                .map(|i| match raw[i].2 {
+                    1 => raw[i].1 & max(i),
+                    2 => raw[i].1,
+                    _ => source[i],
+                })
+                .collect();
+            let mut src_key = vec![0u64; layout.words()];
+            layout.encode(&source, &mut src_key).expect("source fits");
+            for (i, &v) in source.iter().enumerate() {
+                prop_assert_eq!(layout.get(&src_key, i), v);
+            }
+            let mut want = vec![0u64; layout.words()];
+            let encoded = layout.encode(&target, &mut want);
+            let mut key = src_key.clone();
+            let patched = (0..n)
+                .filter(|&i| target[i] != source[i])
+                .try_for_each(|i| layout.patch(&mut key, i, target[i]));
+            prop_assert_eq!(patched, encoded);
+            if encoded.is_ok() {
+                prop_assert_eq!(&key, &want);
+                prop_assert_eq!(layout.decode_vec(&key), target);
+            }
+        }
+    }
+
+    /// A rejected patch leaves the key as it was.
+    #[test]
+    fn overflowing_patch_leaves_key_untouched() {
+        let layout = StateLayout::new(3, &[3]);
+        let mut key = vec![0u64; layout.words()];
+        layout.encode(&[1, 2, 3, 3], &mut key).unwrap();
+        let before = key.clone();
+        assert_eq!(layout.patch(&mut key, 1, 16), Err(PackOverflow));
+        assert_eq!(layout.patch(&mut key, 3, 4), Err(PackOverflow));
+        assert_eq!(key, before);
+        layout.patch(&mut key, 3, 0).unwrap();
+        assert_eq!(layout.decode_vec(&key), [1, 2, 3, 0]);
     }
 }
